@@ -68,7 +68,6 @@ from .lattice import (
     is_closed,
     is_complete,
     is_zeta_monochromatic,
-    lattice_contains,
     monochromatic_fraction,
     reachable,
     robust_vectors,

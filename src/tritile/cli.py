@@ -46,19 +46,30 @@ from .fractional import (
 )
 from .lattice import (
     VertexPartition,
+    _transferral,
     find_absorber,
     find_connector,
-    has_transferral,
     reachable,
     robust_vectors,
 )
 from .rainbow import GraphFamily, rainbow_perfect_tiling
 
-DEFAULT_BUDGET = int(os.environ.get("TRITILE_BUDGET", "2000000"))
+DEFAULT_BUDGET = 2_000_000
 
 
 class UsageError(Exception):
     pass
+
+
+def _env_budget() -> int:
+    """Default node budget: ``TRITILE_BUDGET`` when set, else DEFAULT_BUDGET."""
+    text = os.environ.get("TRITILE_BUDGET")
+    if text is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"TRITILE_BUDGET must be an integer, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -308,7 +319,7 @@ def cmd_lattice(args) -> dict:
         for j in range(P.r):
             if i == j:
                 continue
-            tr = has_transferral(H, P, beta, i, j, mode=args.mode)
+            tr = _transferral(reports, P.r, i, j)
             transferrals.append(
                 {
                     "i": i,
@@ -523,6 +534,7 @@ def cmd_batch(args) -> dict:
 
 
 def build_parser() -> _Parser:
+    budget = _env_budget()
     p = _Parser(prog="tritile", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -549,7 +561,7 @@ def build_parser() -> _Parser:
     ]:
         sp = add(name, fn, help=f"{name} an instance")
         sp.add_argument("instance")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        sp.add_argument("--budget", type=int, default=budget)
         if extra:
             sp.add_argument("--no-lp", action="store_true")
 
@@ -584,14 +596,14 @@ def build_parser() -> _Parser:
 
     sp = add("rainbow", cmd_rainbow, help="rainbow tiling over a family manifest")
     sp.add_argument("manifest")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=int, default=budget)
 
     sp = add("pipeline", cmd_pipeline, help="extremal-case pipeline")
     sp.add_argument("instance")
     sp.add_argument("--gamma", required=True)
     sp.add_argument("--gamma-prime")
     sp.add_argument("--beta")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=int, default=budget)
 
     sp = add("dh-check", cmd_dh_check, help="degree-threshold checks")
     sp.add_argument("instance")
@@ -600,7 +612,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--a")
     sp.add_argument("--b")
     sp.add_argument("--beta")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=int, default=budget)
 
     sp = add("batch", cmd_batch, help="run a manifest of commands")
     sp.add_argument("manifest")

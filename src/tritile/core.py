@@ -36,7 +36,7 @@ class KGraph:
     lexicographic order, so every scan over a KGraph is reproducible.
     """
 
-    __slots__ = ("n", "k", "_edges", "_edge_set", "_nbr", "_vertex_edges")
+    __slots__ = ("n", "k", "_edges", "_edge_set", "_nbr", "_vertex_edges", "_sets")
 
     def __init__(self, n: int, k: int, edges: Iterable[Sequence[int]]):
         if k < 2:
@@ -57,6 +57,7 @@ class KGraph:
         self._edge_set = frozenset(self._edges)
         self._nbr = None
         self._vertex_edges = None
+        self._sets = None  # (supporting sets, their masks), see patterns.supporting_sets
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
@@ -163,11 +164,6 @@ def induced(H: KGraph, S: Iterable[int]) -> tuple[KGraph, dict[int, int]]:
         if all(v in members for v in e)
     ]
     return KGraph(len(s), H.k, edges), relabel
-
-
-def induced_edge_count(H: KGraph, S: Iterable[int]) -> int:
-    members = set(S)
-    return sum(1 for e in H.edges if all(v in members for v in e))
 
 
 def extremal_witness_size(n: int, k: int) -> int:

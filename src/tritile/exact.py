@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .core import KGraph, canonical_vertex_set
+from .core import KGraph, _mask, canonical_vertex_set
 from .errors import (
     BudgetExceeded,
     DivisibilityError,
@@ -30,18 +30,12 @@ from .patterns import (
     DEFAULT_COPY_CAP,
     Tiling,
     TriangleCopy,
+    set_masks,
     supporting_sets,
     supports_triangle,
 )
 
 DEFAULT_NODE_BUDGET = 2_000_000
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 # -- exact cover engine ------------------------------------------------------
@@ -137,8 +131,7 @@ def perfect_tiling(
         verdict = perfect_fractional_tiling(H, sets=sets)
         if isinstance(verdict, FarkasCertificate):
             return None
-    masks = [_mask(vs) for vs, _ in sets]
-    search = _CoverSearch(range(H.n), masks, budget)
+    search = _CoverSearch(range(H.n), set_masks(H, cap), budget)
     rows = search.run()
     if rows is None:
         return None
@@ -164,7 +157,7 @@ def max_tiling(
         return 0, Tiling((), H.n)
     lp_value, lp_tiling = packing_lp_value(H, sets=sets)
     hi = int(lp_value)  # floor: weak duality bound for integral packings
-    masks = [_mask(vs) for vs, _ in sets]
+    masks = set_masks(H, cap)
 
     def greedy(order: Sequence[int]) -> list[int]:
         covered = 0
@@ -200,7 +193,7 @@ def max_tiling(
         def undecided_count(decided: int) -> int:
             return n - bin(decided).count("1")
 
-        def bnb(decided: int, chosen: list[int], skipped: int):
+        def bnb(decided: int, chosen: list[int]):
             if state["lo"] >= hi:
                 return
             state["nodes"] += 1
@@ -221,13 +214,13 @@ def max_tiling(
             for r in by_vertex[v]:
                 if not masks[r] & decided:
                     chosen.append(r)
-                    bnb(decided | masks[r], chosen, skipped)
+                    bnb(decided | masks[r], chosen)
                     chosen.pop()
                     if state["lo"] >= hi:
                         return
-            bnb(decided | (1 << v), chosen, skipped + 1)
+            bnb(decided | (1 << v), chosen)
 
-        bnb(0, [], 0)
+        bnb(0, [])
         best_rows = state["best"]
         lo = state["lo"]
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .core import KGraph, canonical_vertex_set, induced
+from .core import KGraph, _mask, canonical_vertex_set
 from .errors import (
     BudgetExceeded,
     EmptyGraph,
@@ -24,7 +24,8 @@ from .errors import (
     InvalidEdgeProfile,
     InvalidVertex,
 )
-from .patterns import DEFAULT_COPY_CAP, supporting_sets, supports_triangle
+from .exact import _CoverSearch
+from .patterns import DEFAULT_COPY_CAP, set_masks, supporting_sets
 
 YES = "yes"
 NO = "no"
@@ -181,10 +182,6 @@ class IntegerLattice:
         return self.express(vec) is not None
 
 
-def lattice_contains(L: IntegerLattice, vec: Sequence[int]) -> bool:
-    return vec in L
-
-
 # -- robust vectors and transferrals ------------------------------------------
 
 
@@ -266,12 +263,8 @@ def robust_vectors(
     m = int(Fraction(beta) * H.n)
     sets = supporting_sets(H, cap=cap)
     by_vec: dict[tuple[int, ...], list[int]] = {}
-    for vs, _ in sets:
-        vec = index_vector(P, vs)
-        mask = 0
-        for v in vs:
-            mask |= 1 << v
-        by_vec.setdefault(vec, []).append(mask)
+    for (vs, _), mask in zip(sets, set_masks(H, cap)):
+        by_vec.setdefault(index_vector(P, vs), []).append(mask)
     out = {}
     for vec in sorted(by_vec):
         fam = by_vec[vec]
@@ -328,11 +321,17 @@ def has_transferral(
     """Is u_i - u_j in the lattice spanned by the robust index vectors?"""
     if i == j or not (0 <= i < P.r and 0 <= j < P.r):
         raise InvalidDimension(f"invalid block indices {i}, {j}")
-    reports = robust_vectors(H, P, beta, mode=mode, cap=cap)
+    return _transferral(robust_vectors(H, P, beta, mode=mode, cap=cap), P.r, i, j)
+
+
+def _transferral(
+    reports: dict[tuple[int, ...], RobustnessReport], r: int, i: int, j: int
+) -> TransferralReport:
+    """Lattice-membership step of ``has_transferral`` on computed reports."""
     robust = [v for v, rep in sorted(reports.items()) if rep.status == "robust"]
     unknown = tuple(v for v, rep in sorted(reports.items()) if rep.status == UNKNOWN)
-    L = IntegerLattice(P.r, robust)
-    target = [0] * P.r
+    L = IntegerLattice(r, robust)
+    target = [0] * r
     target[i] = 1
     target[j] = -1
     coeffs = L.express(target)
@@ -346,19 +345,26 @@ def has_transferral(
 
 
 def perfectly_tilable(H: KGraph, vertices: Sequence[int], budget: int = 200_000) -> bool:
-    """Does H restricted to ``vertices`` admit a perfect tiling?"""
-    from .exact import perfect_tiling  # deferred: exact imports fractional
+    """Does H restricted to ``vertices`` admit a perfect tiling?
 
+    Exact cover of ``vertices`` by the host's supporting sets inside them,
+    taken in their canonical order from the host's shared index.
+    """
     vs = canonical_vertex_set(vertices)
     s = 2 * H.k - 1
     if len(vs) % s != 0:
         return False
     if len(vs) == 0:
         return True
+    if vs[0] < 0 or vs[-1] >= H.n:
+        raise InvalidVertex(f"{vs} leaves the vertex range 0..{H.n - 1}")
+    outside = ~_mask(vs)
+    rows = [m for m in set_masks(H) if not m & outside]
+    if not rows:
+        return False
     if len(vs) == s:
-        return supports_triangle(H, vs) is not None
-    sub, _ = induced(H, vs)
-    return perfect_tiling(sub, budget=budget, use_lp=False) is not None
+        return True
+    return _CoverSearch(vs, rows, budget).run() is not None
 
 
 def find_connector(
@@ -436,10 +442,7 @@ def reachable(
                 if tried > budget:
                     return UNKNOWN
                 if perfectly_tilable(H, S + (u,)) and perfectly_tilable(H, S + (v,)):
-                    mask = 0
-                    for w in S:
-                        mask |= 1 << w
-                    family.append(mask)
+                    family.append(_mask(S))
         if not family:
             return NO
         try:

@@ -10,11 +10,11 @@ pattern automorphisms, so LP columns and exact-cover rows never double count.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Iterator, Optional
 
-from .core import KGraph, canonical_vertex_set
+from .core import KGraph, _mask, canonical_vertex_set
 from .errors import (
     BudgetExceeded,
     InvalidArity,
@@ -69,10 +69,7 @@ class TriangleCopy:
 
     @property
     def mask(self) -> int:
-        m = 0
-        for v in self.base + self.apexes + self.tail:
-            m |= 1 << v
-        return m
+        return _mask(self.base + self.apexes + self.tail)
 
     def sort_key(self):
         return (self.base, self.apexes, self.tail)
@@ -146,6 +143,36 @@ def supports_triangle(H: KGraph, S: Iterable[int]) -> Optional[TriangleCopy]:
     return best
 
 
+def _copies(H: KGraph) -> Iterator[tuple[tuple[int, ...], int, int, tuple[int, ...], int]]:
+    """Every canonical copy as (base, apex a, apex b, tail, vertex mask).
+
+    Walks base -> apex pair -> spine edge, each level in lexicographic
+    order, so copies come out in ``TriangleCopy.sort_key`` order and the
+    first copy met on a vertex set is its least witness.  For k=2 only the
+    copy whose base is the least vertex of its triangle is canonical.
+    """
+    k = H.k
+    spines: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = {}
+    for a in range(H.n):
+        for e in H.vertex_edges(a):
+            em = _mask(e)
+            for b in e:
+                if b > a:
+                    tail = tuple(v for v in e if v != a and v != b)
+                    spines.setdefault((a, b), []).append((tail, em))
+    for base, nbrs in sorted(H._neighborhood_index().items()):
+        if len(nbrs) < 2:
+            continue
+        bm = _mask(base)
+        lo = bisect_right(nbrs, base[0]) if k == 2 else 0
+        for i in range(lo, len(nbrs)):
+            a = nbrs[i]
+            for b in nbrs[i + 1:]:
+                for tail, em in spines.get((a, b), ()):
+                    if not em & bm:
+                        yield base, a, b, tail, bm | em
+
+
 def enumerate_copies(
     H: KGraph,
     restrict: Optional[Iterable[int]] = None,
@@ -159,43 +186,14 @@ def enumerate_copies(
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    k = H.k
-    allowed = None
-    if restrict is not None:
-        allowed = set(canonical_vertex_set(restrict))
+    outside = 0 if restrict is None else ~_mask(canonical_vertex_set(restrict))
     out = []
-    seen = set() if k == 2 else None
-    nbr_of = H.neighborhood
-    for base in itertools.combinations(range(H.n), k - 1):
-        if allowed is not None and not set(base) <= allowed:
+    for base, a, b, tail, m in _copies(H):
+        if m & outside:
             continue
-        nbrs = nbr_of(base)
-        if allowed is not None:
-            nbrs = tuple(v for v in nbrs if v in allowed)
-        if len(nbrs) < 2:
-            continue
-        base_set = set(base)
-        for a, b in itertools.combinations(nbrs, 2):
-            for e3 in H.vertex_edges(a):
-                if b not in e3:
-                    continue
-                if base_set & set(e3):
-                    continue
-                if allowed is not None and not set(e3) <= allowed:
-                    continue
-                tail = tuple(v for v in e3 if v != a and v != b)
-                copy = _canonical_copy(base, (a, b), tail, k)
-                if seen is not None:
-                    key = copy.sort_key()
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                out.append(copy)
-                if len(out) > cap:
-                    raise BudgetExceeded(
-                        f"copy count exceeds cap {cap}", partial_count=len(out)
-                    )
-    out.sort(key=TriangleCopy.sort_key)
+        out.append(TriangleCopy(base, (a, b), tail))
+        if len(out) > cap:
+            raise BudgetExceeded(f"copy count exceeds cap {cap}", partial_count=len(out))
     return out
 
 
@@ -208,33 +206,46 @@ def supporting_sets(
 
     Sorted by vertex set.  Fractional weights, packing rows and exact-cover
     rows only ever depend on the vertex set of a copy, so this is the
-    deduplicated column/row universe for those solvers.
+    deduplicated column/row universe for those solvers.  The sets of a host
+    are enumerated once per KGraph object and shared by every later call;
+    ``restrict`` selects those inside it.  More than ``cap`` sets raises
+    BudgetExceeded, whether they were just enumerated or cached.
     """
-    k = H.k
-    s = 2 * k - 1
-    universe = range(H.n) if restrict is None else canonical_vertex_set(restrict)
-    if comb(len(tuple(universe)), s) <= _DIRECT_SET_SCAN_LIMIT:
-        out = []
-        for S in itertools.combinations(universe, s):
-            witness = supports_triangle(H, S)
-            if witness is not None:
-                out.append((S, witness))
-                if len(out) > cap:
-                    raise BudgetExceeded(
-                        f"supporting-set count exceeds cap {cap}",
-                        partial_count=len(out),
-                    )
-        return out
-    best: dict[tuple[int, ...], TriangleCopy] = {}
-    for copy in enumerate_copies(H, restrict, cap=cap):
-        vs = copy.vertices
-        cur = best.get(vs)
-        if cur is None or copy.sort_key() < cur.sort_key():
-            best[vs] = copy
-    return sorted(best.items())
+    if H._sets is None:
+        first: dict[int, tuple] = {}
+        for copy in _copies(H):
+            m = copy[4]
+            if m not in first:
+                first[m] = copy
+                _check_set_cap(len(first), cap)
+        rows = sorted(
+            (tuple(sorted(base + (a, b) + tail)), m, TriangleCopy(base, (a, b), tail))
+            for base, a, b, tail, m in first.values()
+        )
+        H._sets = ([(vs, w) for vs, _, w in rows], [m for _, m, _ in rows])
+    sets, masks = H._sets
+    if restrict is not None:
+        outside = ~_mask(canonical_vertex_set(restrict))
+        sets = [row for row, m in zip(sets, masks) if not m & outside]
+    _check_set_cap(len(sets), cap)
+    return list(sets)
 
 
-_DIRECT_SET_SCAN_LIMIT = 2_000_000
+def set_masks(H: KGraph, cap: int = DEFAULT_COPY_CAP) -> list[int]:
+    """Vertex masks of ``supporting_sets(H)``, row for row, from the same
+    per-host index.  Callers must not mutate the list."""
+    if H._sets is None:
+        supporting_sets(H, cap=cap)
+    masks = H._sets[1]
+    _check_set_cap(len(masks), cap)
+    return masks
+
+
+def _check_set_cap(count: int, cap: int) -> None:
+    if count > cap:
+        raise BudgetExceeded(
+            f"supporting-set count exceeds cap {cap}", partial_count=count
+        )
 
 
 def validate_copy(H: KGraph, copy: TriangleCopy) -> bool:
@@ -265,18 +276,6 @@ def validate_copy(H: KGraph, copy: TriangleCopy) -> bool:
 class TightPathCount:
     total: int
     rainbow: Optional[int]  # None when no coloring was supplied
-
-
-def iter_tight_2paths(H: KGraph) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Unordered pairs of distinct edges sharing exactly k-1 vertices."""
-    idx: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for e in H.edges:
-        for i in range(H.k):
-            idx.setdefault(e[:i] + e[i + 1:], []).append(e)
-    for s in sorted(idx):
-        group = idx[s]
-        for e1, e2 in itertools.combinations(group, 2):
-            yield (e1, e2)
 
 
 def count_tight_2paths(H: KGraph, coloring: Optional[dict] = None) -> TightPathCount:

@@ -153,11 +153,9 @@ def rainbow_perfect_tiling(
     by_vertex: dict[int, list[int]] = {v: [] for v in range(n)}
     masks = []
     for idx, (c, _) in enumerate(usable):
-        mask = 0
         for v in c.vertices:
-            mask |= 1 << v
             by_vertex[v].append(idx)
-        masks.append(mask)
+        masks.append(c.mask)
 
     full = (1 << n) - 1
     nodes = {"n": 0}

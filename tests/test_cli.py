@@ -176,3 +176,73 @@ def test_dh_check_cli(tmp_path):
     assert report["verdict"] == "decided-yes"
     assert report["degree_condition"]["threshold"] == "3/2"
     assert len(report["matching"]) == 3
+
+
+def test_malformed_budget_env_exits_1(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    inst = tmp_path / "k5.kg"
+    run(["gen", "complete", "--n", "5", "--k", "3", "-o", str(inst)])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, TRITILE_BUDGET="abc", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tritile.cli", "info", str(inst)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: TRITILE_BUDGET must be an integer, got 'abc'"]
+
+
+def test_budget_env_sets_default(tmp_path, monkeypatch):
+    inst = tmp_path / "k10.kg"
+    run(["gen", "complete", "--n", "10", "--k", "3", "-o", str(inst)])
+    monkeypatch.setenv("TRITILE_BUDGET", "0")
+    report, code = run(["tile", str(inst), "--no-lp"])
+    assert code == 2
+    assert report["config"]["budget"] == 0
+
+
+@pytest.mark.parametrize(
+    "edges_from,blocks,found",
+    [("random", "0,3,6;1,4,7;2,5,8", True), ("k6-plus-two", "0-5;6,7", False)],
+)
+def test_lattice_report_matches_per_pair_transferrals(tmp_path, edges_from, blocks, found):
+    from fractions import Fraction
+
+    from tritile.core import KGraph, complete_kgraph, save_kgraph
+    from tritile.lattice import VertexPartition, has_transferral
+
+    inst = tmp_path / "g.kg"
+    if edges_from == "random":
+        run(["gen", "random", "--n", "9", "--k", "3", "--delta", "3", "--seed", "2", "-o", str(inst)])
+    else:
+        save_kgraph(KGraph(8, 3, complete_kgraph(6, 3).edges), inst)
+    H = load_kgraph(inst)
+    beta = Fraction(1, H.n)
+    report, code = run(["lattice", str(inst), "--blocks", blocks, "--beta", f"1/{H.n}"])
+    assert code == 0
+    P = VertexPartition(parse_blocks(blocks))
+    expected = []
+    for i in range(P.r):
+        for j in range(P.r):
+            if i == j:
+                continue
+            tr = has_transferral(H, P, beta, i, j)
+            expected.append(
+                {
+                    "i": i,
+                    "j": j,
+                    "found": tr.found,
+                    "combination": None
+                    if tr.combination is None
+                    else [[list(v), c] for v, c in sorted(tr.combination.items())],
+                }
+            )
+    assert json.dumps(report["transferrals"], sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert any(t["found"] for t in expected) == found

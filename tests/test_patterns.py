@@ -2,19 +2,25 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritile.core import KGraph, complete_kgraph
 from tritile.constructions import extremal_construction, random_with_codegree
 from tritile.errors import BudgetExceeded, InvalidArity, InvalidColoring, InvalidUniformity
+from tritile.lattice import perfectly_tilable
 from tritile.patterns import (
+    TriangleCopy,
     blowup,
     count_tight_2paths,
     enumerate_copies,
     generalized_triangle,
     supporting_sets,
+    set_masks,
     supports_triangle,
     validate_copy,
 )
+from tritile.validate import brute_perfectly_tilable, brute_supports, check_copy
 
 from oracles import oracle_automorphisms, oracle_supports
 
@@ -138,6 +144,67 @@ def test_supporting_sets_match_enumeration(small_corpus):
         for vs, witness in sets:
             assert witness.vertices == vs
             assert validate_copy(H, witness)
+
+
+@st.composite
+def hosts_and_subsets(draw):
+    """A random k-graph (k in 2..4) plus a vertex subset of it."""
+    k = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(2 * k - 1, {2: 9, 3: 10, 4: 9}[k]))
+    all_edges = list(itertools.combinations(range(n), k))
+    edges = draw(st.sets(st.sampled_from(all_edges), max_size=len(all_edges)))
+    subset = draw(st.sets(st.integers(0, n - 1), max_size=min(n, 2 * (2 * k - 1))))
+    return KGraph(n, k, edges), tuple(sorted(subset))
+
+
+def _brute_copies(H, vs):
+    """Canonical copies on the vertex set vs, sorted, over every base/apex
+    split; for k=2 the three splits of a triangle are one copy."""
+    found = set()
+    for base in itertools.combinations(vs, H.k - 1):
+        rest = [v for v in vs if v not in base]
+        for a, b in itertools.combinations(rest, 2):
+            c = TriangleCopy(base, (a, b), tuple(v for v in rest if v not in (a, b)))
+            if check_copy(H, c):
+                found.add(c)
+    copies = sorted(found, key=TriangleCopy.sort_key)
+    return copies[:1] if H.k == 2 else copies
+
+
+@given(hosts_and_subsets())
+@settings(max_examples=150, deadline=None)
+def test_supporting_sets_match_brute_force(case):
+    H, R = case
+    s = 2 * H.k - 1
+    sets = supporting_sets(H)
+    brute = [S for S in itertools.combinations(range(H.n), s) if brute_supports(H, S)]
+    assert [vs for vs, _ in sets] == brute
+    copies = {vs: _brute_copies(H, vs) for vs in brute}
+    for vs, witness in sets:
+        assert witness == copies[vs][0]
+    every = sorted((c for cs in copies.values() for c in cs), key=TriangleCopy.sort_key)
+    assert enumerate_copies(H) == every
+    inside = [S for S in brute if set(S) <= set(R)]
+    assert [vs for vs, _ in supporting_sets(H, restrict=R)] == inside
+    assert perfectly_tilable(H, R) == brute_perfectly_tilable(H, R)
+    # the second call reads the host's index and must agree with the first
+    assert supporting_sets(H) == sets
+    assert set_masks(H) == [sum(1 << v for v in vs) for vs, _ in sets]
+    if sets:
+        with pytest.raises(BudgetExceeded):
+            supporting_sets(H, cap=len(sets) - 1)
+        with pytest.raises(BudgetExceeded):
+            set_masks(H, cap=len(sets) - 1)
+    if inside:
+        with pytest.raises(BudgetExceeded):
+            supporting_sets(H, restrict=R, cap=len(inside) - 1)
+
+
+def test_supporting_sets_cap_before_caching():
+    H = complete_kgraph(8, 3)
+    with pytest.raises(BudgetExceeded):
+        supporting_sets(H, cap=10)
+    assert len(supporting_sets(H)) == 56
 
 
 def test_tight_2paths_complete_four():
