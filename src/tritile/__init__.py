@@ -53,10 +53,8 @@ from .fractional import (
     b_avoiding_fractional_tiling,
     min_max_pair_weight,
     packing_lp_value,
-    pair_weight,
     perfect_fractional_tiling,
     verify_certificate,
-    vertex_weight,
 )
 from .lattice import (
     IntegerLattice,

@@ -30,16 +30,17 @@ from .core import (
 )
 from .errors import BudgetExceeded, TritileError
 from .exact import (
+    _decide_perfect_tiling,
     corollary_check,
     dh_condition,
     extremal_pipeline,
     kpartite_perfect_matching,
     max_tiling,
-    perfect_tiling,
 )
 from .fractional import (
     FarkasCertificate,
     FractionalTiling,
+    frac_str,
     min_max_pair_weight,
     perfect_fractional_tiling,
     verify_certificate,
@@ -103,11 +104,6 @@ def parse_vertices(text: str) -> tuple[int, ...]:
 
 def parse_blocks(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(parse_vertices(part) for part in text.split(";") if part.strip())
-
-
-def frac_str(q) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
 
 
 REPORT_SCHEMA = 1
@@ -202,17 +198,18 @@ def cmd_info(args) -> dict:
 
 def cmd_tile(args) -> dict:
     H = load_kgraph(args.instance)
-    tiling = perfect_tiling(H, budget=args.budget, use_lp=not args.no_lp)
+    tiling, reason, certificate = _decide_perfect_tiling(
+        H, budget=args.budget, use_lp=not args.no_lp
+    )
     if tiling is None:
-        reason = (
-            "divisibility" if H.n % (2 * H.k - 1) != 0 else "search-exhausted"
-        )
+        extra = {} if certificate is None else {"certificate": certificate.to_json()}
         return _report(
             "tile",
             _echo(args),
             verdict="decided-no",
             anchor="perfect-tiling-decision",
             reason=reason,
+            **extra,
         )
     return _report(
         "tile",

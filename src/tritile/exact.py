@@ -119,23 +119,39 @@ def perfect_tiling(
     tiling; the remaining cases are decided by exact cover over supporting
     sets.  A blown budget raises, it never reports "none".
     """
+    return _decide_perfect_tiling(H, budget=budget, cap=cap, use_lp=use_lp)[0]
+
+
+def _decide_perfect_tiling(
+    H: KGraph,
+    *,
+    budget: int = DEFAULT_NODE_BUDGET,
+    cap: int = DEFAULT_COPY_CAP,
+    use_lp: bool = True,
+) -> tuple[Optional[Tiling], Optional[str], Optional[FarkasCertificate]]:
+    """``perfect_tiling`` plus the layer that decided "none".
+
+    Returns ``(tiling, None, None)`` on success, ``(None, "farkas",
+    certificate)`` when the fractional relaxation is infeasible, and
+    ``(None, "divisibility" | "cover", None)`` otherwise.
+    """
     s = 2 * H.k - 1
     if H.n % s != 0:
-        return None
+        return None, "divisibility", None
     if H.n == 0:
-        return Tiling((), 0)
+        return Tiling((), 0), None, None
     sets = supporting_sets(H, cap=cap)
     if not sets:
-        return None
+        return None, "cover", None
     if use_lp:
         verdict = perfect_fractional_tiling(H, sets=sets)
         if isinstance(verdict, FarkasCertificate):
-            return None
+            return None, "farkas", verdict
     search = _CoverSearch(range(H.n), set_masks(H, cap), budget)
     rows = search.run()
     if rows is None:
-        return None
-    return Tiling(tuple(sets[r][1] for r in rows), H.n)
+        return None, "cover", None
+    return Tiling(tuple(sets[r][1] for r in rows), H.n), None, None
 
 
 def max_tiling(

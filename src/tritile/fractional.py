@@ -67,7 +67,7 @@ class FractionalTiling:
         return {
             "perfect": self.perfect,
             "weights": [
-                {"copy": c.to_json(), "weight": _frac_str(w)}
+                {"copy": c.to_json(), "weight": frac_str(w)}
                 for c, w in sorted(self.weights.items(), key=lambda cw: cw[0].sort_key())
             ],
         }
@@ -93,15 +93,9 @@ class FarkasCertificate:
         return {"coeffs": list(self.coeffs), "total": self.total()}
 
 
-def vertex_weight(omega: FractionalTiling, u: int) -> Fraction:
-    return omega.vertex_weight(u)
-
-
-def pair_weight(omega: FractionalTiling, u: int, v: int) -> Fraction:
-    return omega.pair_weight(u, v)
-
-
-def _frac_str(q: Fraction) -> str:
+def frac_str(q) -> str:
+    """An exact rational (or integer) as a "p/q" string."""
+    q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 

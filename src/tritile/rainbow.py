@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import KGraph
+from .core import KGraph, _mask
 from .errors import BudgetExceeded, InvalidFamily
-from .patterns import TriangleCopy, Tiling
+from .patterns import TriangleCopy, Tiling, _copies
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -70,41 +70,61 @@ class RainbowTiling:
         }
 
 
-def _bipartite_saturates(slot_hosts: list[tuple[int, ...]], n_hosts: int) -> bool:
-    """Can every slot get its own host?  Kuhn's augmenting-path matching."""
-    match_host = [-1] * n_hosts
+def _bipartite_saturates(slot_hosts: list[int]) -> bool:
+    """Can every slot get its own host?  Kuhn's augmenting-path matching.
 
-    def augment(s: int, seen: set) -> bool:
-        for h in slot_hosts[s]:
-            if h in seen:
+    Each slot's hosts are an int bitmask (bit i = host i).
+    """
+    owner: dict[int, int] = {}  # host bit -> slot it serves
+    seen = 0
+
+    def augment(s: int) -> bool:
+        nonlocal seen
+        free = slot_hosts[s]
+        while free:
+            bit = free & -free
+            free ^= bit
+            if seen & bit:
                 continue
-            seen.add(h)
-            if match_host[h] < 0 or augment(match_host[h], seen):
-                match_host[h] = s
+            seen |= bit
+            if bit not in owner or augment(owner[bit]):
+                owner[bit] = s
                 return True
         return False
 
     for s in range(len(slot_hosts)):
-        if not augment(s, set()):
+        seen = 0
+        if not augment(s):
             return False
     return True
 
 
-def _lex_least_assignment(slot_hosts: list[tuple[int, ...]], n_hosts: int) -> list[int]:
+def _hall_triple(x: int, y: int, z: int) -> bool:
+    """Hall's condition for three slots with host bitmasks x, y, z: every
+    nonempty subfamily of slots sees at least as many hosts as it has slots."""
+    return (
+        x != 0
+        and y != 0
+        and z != 0
+        and (x | y).bit_count() >= 2
+        and (x | z).bit_count() >= 2
+        and (y | z).bit_count() >= 2
+        and (x | y | z).bit_count() >= 3
+    )
+
+
+def _lex_least_assignment(slot_hosts: list[int]) -> list[int]:
     """Lexicographically least system of distinct representatives."""
     chosen: list[int] = []
-    used: set[int] = set()
-    for s in range(len(slot_hosts)):
-        for h in slot_hosts[s]:
-            if h in used:
-                continue
-            rest = [
-                tuple(x for x in slot_hosts[r] if x != h and x not in used)
-                for r in range(s + 1, len(slot_hosts))
-            ]
-            if _bipartite_saturates(rest, n_hosts):
-                chosen.append(h)
-                used.add(h)
+    used = 0
+    for s, hosts in enumerate(slot_hosts):
+        free = hosts & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            if _bipartite_saturates([x & ~(used | bit) for x in slot_hosts[s + 1:]]):
+                chosen.append(bit.bit_length() - 1)
+                used |= bit
                 break
         else:
             raise ArithmeticError("internal: assignment vanished after search")
@@ -120,10 +140,10 @@ def rainbow_perfect_tiling(
 
     Sound and complete within budget: exact cover over vertices on copies of
     the union, pruned whenever the partial slot/host bipartite graph has no
-    saturating matching.
+    saturating matching.  Copies stay plain tuples; each union edge, keyed by
+    its vertex mask, carries the bitmask of the hosts containing it, and only
+    the chosen copies become ``TriangleCopy`` objects.
     """
-    from .patterns import enumerate_copies  # local import to keep startup light
-
     n, k = family.n, family.k
     s = 2 * k - 1
     if n % s != 0:
@@ -140,22 +160,33 @@ def rainbow_perfect_tiling(
     if perfect_tiling(union, budget=budget) is None:
         return None
 
-    edge_hosts: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for e in union.edges:
-        edge_hosts[e] = tuple(i for i, h in enumerate(family.hosts) if h.has_edge(e))
+    edge_hosts: dict[int, int] = {}  # edge vertex mask -> host bitmask
+    for i, h in enumerate(family.hosts):
+        for e in h.edges:
+            em = _mask(e)
+            edge_hosts[em] = edge_hosts.get(em, 0) | 1 << i
 
-    copies = enumerate_copies(union)
-    usable = []
-    for c in copies:
-        hosts_per_edge = [edge_hosts[e] for e in c.edges]
-        if _bipartite_saturates(hosts_per_edge, m):
-            usable.append((c, hosts_per_edge))
+    # Usable copies, in the canonical order ``_copies`` yields them: a copy
+    # is usable iff its three edge slots can take distinct hosts.
+    usable: list[tuple[tuple[int, ...], int, int, tuple[int, ...]]] = []
+    hosts: list[tuple[int, int, int]] = []  # per usable copy, in slot order
+    masks: list[int] = []
     by_vertex: dict[int, list[int]] = {v: [] for v in range(n)}
-    masks = []
-    for idx, (c, _) in enumerate(usable):
-        for v in c.vertices:
-            by_vertex[v].append(idx)
-        masks.append(c.mask)
+    base_prev, bm = None, 0
+    for base, a, b, tail, mask in _copies(union):
+        if base is not base_prev:  # a base's copies come out consecutively
+            base_prev, bm = base, _mask(base)
+        x = edge_hosts[bm | 1 << a]
+        y = edge_hosts[bm | 1 << b]
+        z = edge_hosts[mask & ~bm]
+        if not _hall_triple(x, y, z):
+            continue
+        r = len(usable)
+        for v in (*base, a, b, *tail):
+            by_vertex[v].append(r)
+        usable.append((base, a, b, tail))
+        hosts.append((x, y, z))
+        masks.append(mask)
 
     full = (1 << n) - 1
     nodes = {"n": 0}
@@ -177,8 +208,8 @@ def rainbow_perfect_tiling(
                     return None
         for r in best:
             chosen.append(r)
-            slot_hosts = [hp for q in chosen for hp in usable[q][1]]
-            if _bipartite_saturates(slot_hosts, m):
+            slot_hosts = [hp for q in chosen for hp in hosts[q]]
+            if _bipartite_saturates(slot_hosts):
                 found = search(covered | masks[r], chosen)
                 if found is not None:
                     return found
@@ -188,10 +219,12 @@ def rainbow_perfect_tiling(
     rows = search(0, [])
     if rows is None:
         return None
-    chosen_copies = sorted((usable[r][0] for r in rows), key=TriangleCopy.sort_key)
-    slot_hosts = [edge_hosts[e] for c in chosen_copies for e in c.edges]
-    assignment = _lex_least_assignment(slot_hosts, m)
-    return RainbowTiling(Tiling(tuple(chosen_copies), n), tuple(assignment))
+    rows.sort()  # row order is the canonical copy order
+    chosen_copies = tuple(
+        TriangleCopy(base, (a, b), tail) for base, a, b, tail in (usable[r] for r in rows)
+    )
+    assignment = _lex_least_assignment([hp for r in rows for hp in hosts[r]])
+    return RainbowTiling(Tiling(chosen_copies, n), tuple(assignment))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,52 @@ def test_gen_then_tile_extremal(tmp_path):
     assert report["verdict"] == "decided-no"
 
 
+def test_tile_reason_divisibility(tmp_path):
+    out = tmp_path / "k7.kg"
+    run(["gen", "complete", "--n", "7", "--k", "3", "-o", str(out)])
+    report, code = run(["tile", str(out)])
+    assert code == 0
+    assert report["verdict"] == "decided-no"
+    assert report["reason"] == "divisibility"
+    assert "certificate" not in report
+
+
+def test_tile_reason_farkas(tmp_path):
+    out = tmp_path / "ext.kg"
+    run(["gen", "extremal", "--k", "3", "--n", "15", "-o", str(out)])
+    report, code = run(["tile", str(out)])
+    assert code == 0
+    assert report["verdict"] == "decided-no"
+    assert report["reason"] == "farkas"
+    assert report["certificate"]["coeffs"] == [3] * 5 + [-2] * 10
+    # without the LP the same host is ruled out by the cover search
+    report, code = run(["tile", str(out), "--no-lp"])
+    assert (code, report["reason"]) == (0, "cover")
+    assert "certificate" not in report
+
+
+def test_tile_reason_cover(tmp_path):
+    # Fractionally tilable (the LP is feasible), but no two of its
+    # supporting sets are disjoint, so only the cover search can say no.
+    edges = [
+        (0, 1, 2), (0, 1, 3), (0, 1, 8), (0, 7, 8), (1, 2, 8), (1, 3, 8),
+        (1, 3, 9), (1, 4, 9), (2, 3, 7), (2, 4, 5), (2, 5, 9), (2, 6, 8),
+        (2, 7, 9), (2, 8, 9), (3, 4, 9), (3, 5, 6), (3, 5, 7), (4, 7, 8),
+        (5, 6, 8), (6, 7, 9),
+    ]
+    from tritile.core import KGraph, save_kgraph
+
+    out = tmp_path / "cover.kg"
+    save_kgraph(KGraph(10, 3, edges), out)
+    report, code = run(["fractile", str(out)])
+    assert (code, report["verdict"]) == (0, "decided-yes")
+    report, code = run(["tile", str(out)])
+    assert code == 0
+    assert report["verdict"] == "decided-no"
+    assert report["reason"] == "cover"
+    assert "certificate" not in report
+
+
 def test_info_complete(tmp_path):
     out = tmp_path / "k5.kg"
     run(["gen", "complete", "--n", "5", "--k", "3", "-o", str(out)])

@@ -1,11 +1,18 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritile.core import KGraph, complete_kgraph
 from tritile.constructions import extremal_construction, random_with_codegree
-from tritile.errors import InvalidFamily
+from tritile.errors import BudgetExceeded, InvalidFamily
 from tritile.patterns import generalized_triangle
 from tritile.rainbow import (
     GraphFamily,
+    _bipartite_saturates,
+    _hall_triple,
     color_covering_homomorphism,
     rainbow_perfect_tiling,
 )
@@ -55,6 +62,84 @@ def test_rainbow_edge_scarcity_forces_none():
     empty = KGraph(10, 3, [])
     fam = GraphFamily((full, full, full, full, full, empty))
     assert rainbow_perfect_tiling(fam) is None
+
+
+def test_hall_triple_equals_matching_over_four_hosts():
+    for x, y, z in itertools.product(range(16), repeat=3):
+        assert _hall_triple(x, y, z) == _bipartite_saturates([x, y, z]), (x, y, z)
+
+
+def _brute_rainbow_k3(family) -> bool:
+    """Partition the vertices into 5-blocks; in each block try every labelled
+    copy and every injective choice of hosts for its three edges; the blocks'
+    host triples must be pairwise disjoint."""
+    hosts = family.hosts
+    n = family.n
+
+    def block_host_triples(block):
+        out = set()
+        for base in itertools.combinations(block, 2):
+            rest = [v for v in block if v not in base]
+            for a, b in itertools.combinations(rest, 2):
+                (t,) = [v for v in rest if v not in (a, b)]
+                slots = (base + (a,), base + (b,), (a, b, t))
+                holders = [
+                    [i for i, h in enumerate(hosts) if h.has_edge(e)] for e in slots
+                ]
+                for trio in itertools.product(*holders):
+                    if len(set(trio)) == 3:
+                        out.add(frozenset(trio))
+        return out
+
+    def rec(remaining, used):
+        if not remaining:
+            return True
+        head = remaining[0]
+        for combo in itertools.combinations(remaining[1:], 4):
+            block = (head,) + combo
+            left = tuple(v for v in remaining if v not in block)
+            for trio in block_host_triples(block):
+                if not trio & used and rec(left, used | trio):
+                    return True
+        return False
+
+    return rec(tuple(range(n)), frozenset())
+
+
+@st.composite
+def _small_families(draw):
+    n = draw(st.sampled_from([5, 10]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p_host = draw(st.sampled_from([0.2, 0.4, 0.7]))
+    p_keep = draw(st.sampled_from([0.15, 0.3, 0.6]))
+    host = [e for e in itertools.combinations(range(n), 3) if rng.random() < p_host]
+    return GraphFamily(
+        tuple(
+            KGraph(n, 3, [e for e in host if rng.random() < p_keep])
+            for _ in range(3 * n // 5)
+        )
+    )
+
+
+@given(_small_families())
+@settings(max_examples=100, deadline=None)
+def test_rainbow_matches_brute_force(family):
+    rt = rainbow_perfect_tiling(family)
+    assert (rt is not None) == _brute_rainbow_k3(family)
+    if rt is not None:
+        assert check_rainbow(family, rt)
+
+
+def test_rainbow_budget_raises_never_none():
+    full = complete_kgraph(10, 3)
+    scarce = GraphFamily((full,) * 5 + (KGraph(10, 3, []),))
+    for fam in (GraphFamily((full,) * 6), scarce):
+        with pytest.raises(BudgetExceeded):
+            rainbow_perfect_tiling(fam, budget=0)
+    # Two nodes decide the union's tiling; the rainbow search itself needs
+    # more before it can rule the scarce family out.
+    with pytest.raises(BudgetExceeded):
+        rainbow_perfect_tiling(scarce, budget=2)
 
 
 def test_rainbow_consistent_with_union_tiling(small_corpus):
