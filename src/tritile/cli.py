@@ -94,11 +94,16 @@ def parse_vertices(text: str) -> tuple[int, ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "-" in chunk:
-            a, b = chunk.split("-", 1)
-            out.extend(range(int(a), int(b) + 1))
-        else:
-            out.append(int(chunk))
+        try:
+            if "-" in chunk:
+                a, b = chunk.split("-", 1)
+                out.extend(range(int(a), int(b) + 1))
+            else:
+                out.append(int(chunk))
+        except ValueError:
+            raise UsageError(
+                f"vertex list expected (e.g. 0,2,5-7), got {chunk!r} in {text!r}"
+            ) from None
     return tuple(sorted(set(out)))
 
 

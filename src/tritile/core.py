@@ -57,7 +57,7 @@ class KGraph:
         self._edge_set = frozenset(self._edges)
         self._nbr = None
         self._vertex_edges = None
-        self._sets = None  # (supporting sets, their masks), see patterns.supporting_sets
+        self._sets = None  # supporting-set index, see patterns._set_index
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:

@@ -30,7 +30,8 @@ from .patterns import (
     DEFAULT_COPY_CAP,
     Tiling,
     TriangleCopy,
-    set_masks,
+    _rows_by_vertex,
+    _set_index,
     supporting_sets,
     supports_triangle,
 )
@@ -44,24 +45,25 @@ DEFAULT_NODE_BUDGET = 2_000_000
 class _CoverSearch:
     """Exact cover of a vertex universe by disjoint rows.
 
-    Deterministic: the branching vertex is the uncovered one with the fewest
-    live rows (ties to the lowest id), rows are tried in their given
-    canonical order.  Node budget guards runaway instances.
+    ``by_vertex`` maps each universe vertex to the indices of the rows that
+    contain it, every such row lying inside the universe; ``row_masks`` gives
+    each row's vertex mask.  Deterministic: the branching vertex is the
+    uncovered one with the fewest live rows (ties to the lowest id), rows are
+    tried in their listed order.  Node budget guards runaway instances.
     """
 
-    def __init__(self, universe: Sequence[int], row_masks: Sequence[int], budget: int):
+    def __init__(
+        self,
+        universe: Sequence[int],
+        by_vertex: dict[int, list[int]],
+        row_masks: Sequence[int],
+        budget: int,
+    ):
         self.universe = tuple(universe)
+        self.by_vertex = by_vertex
         self.row_masks = row_masks
         self.budget = budget
         self.nodes = 0
-        self.by_vertex: dict[int, list[int]] = {v: [] for v in self.universe}
-        member = set(self.universe)
-        for idx, rm in enumerate(row_masks):
-            vs = _mask_vertices(rm)
-            if not all(v in member for v in vs):
-                continue
-            for v in vs:
-                self.by_vertex[v].append(idx)
         self.full = _mask(self.universe)
 
     def run(self) -> Optional[list[int]]:
@@ -91,15 +93,11 @@ class _CoverSearch:
         return None
 
 
-def _mask_vertices(m: int) -> list[int]:
-    out = []
-    v = 0
-    while m:
-        if m & 1:
-            out.append(v)
-        m >>= 1
-        v += 1
-    return out
+def _edge_cover(universe: Sequence[int], edges: Sequence[tuple[int, ...]], budget: int):
+    """Perfect matching of ``universe`` by ``edges``, all inside it: the
+    chosen edge indices, or None."""
+    by_vertex = _rows_by_vertex(universe, enumerate(edges))
+    return _CoverSearch(universe, by_vertex, [_mask(e) for e in edges], budget).run()
 
 
 # -- tilings -------------------------------------------------------------------
@@ -147,8 +145,8 @@ def _decide_perfect_tiling(
         verdict = perfect_fractional_tiling(H, sets=sets)
         if isinstance(verdict, FarkasCertificate):
             return None, "farkas", verdict
-    search = _CoverSearch(range(H.n), set_masks(H, cap), budget)
-    rows = search.run()
+    index = _set_index(H, cap)
+    rows = _CoverSearch(range(H.n), index.vertex_rows(), index.masks, budget).run()
     if rows is None:
         return None, "cover", None
     return Tiling(tuple(sets[r][1] for r in rows), H.n), None, None
@@ -173,7 +171,8 @@ def max_tiling(
         return 0, Tiling((), H.n)
     lp_value, lp_tiling = packing_lp_value(H, sets=sets)
     hi = int(lp_value)  # floor: weak duality bound for integral packings
-    masks = set_masks(H, cap)
+    index = _set_index(H, cap)
+    masks = index.masks
 
     def greedy(order: Sequence[int]) -> list[int]:
         covered = 0
@@ -197,13 +196,8 @@ def max_tiling(
     lo = len(best_rows)
 
     if lo < hi:
-        nodes = 0
         n = H.n
-        by_vertex: dict[int, list[int]] = {v: [] for v in range(n)}
-        for idx, rm in enumerate(masks):
-            for v in _mask_vertices(rm):
-                by_vertex[v].append(idx)
-
+        by_vertex = index.vertex_rows()
         state = {"best": best_rows, "lo": lo, "nodes": 0}
 
         def undecided_count(decided: int) -> int:
@@ -279,9 +273,7 @@ def kpartite_perfect_matching(
     """Exact perfect-matching decision in a balanced k-partite k-graph."""
     blocks = _check_partite(J, classes)
     universe = sorted(v for b in blocks for v in b)
-    masks = [_mask(e) for e in J.edges]
-    search = _CoverSearch(universe, masks, budget)
-    rows = search.run()
+    rows = _edge_cover(universe, J.edges, budget)
     if rows is None:
         return None
     return [J.edges[r] for r in rows]
@@ -669,10 +661,7 @@ def extremal_pipeline(
     ok("DH-check", f"deficit={deficit}/{full}, worst degree={worst}")
 
     # perfect matching in J
-    universe = sorted(A_rest + B_rest)
-    masks = [_mask(e) for e in aux.graph.edges]
-    search = _CoverSearch(universe, masks, budget)
-    rows = search.run()
+    rows = _edge_cover(sorted(A_rest + B_rest), aux.graph.edges, budget)
     if rows is None:
         return fail("J-matching", "auxiliary graph has no perfect matching")
     ok("J-matching", f"size={len(rows)}")

@@ -25,7 +25,7 @@ from .errors import (
     InvalidVertex,
 )
 from .exact import _CoverSearch
-from .patterns import DEFAULT_COPY_CAP, set_masks, supporting_sets
+from .patterns import DEFAULT_COPY_CAP, _set_index, set_masks, supporting_sets
 
 YES = "yes"
 NO = "no"
@@ -262,9 +262,14 @@ def robust_vectors(
     """
     m = int(Fraction(beta) * H.n)
     sets = supporting_sets(H, cap=cap)
+    block_masks = [_mask(b) for b in P.blocks]
+    n = P.n
     by_vec: dict[tuple[int, ...], list[int]] = {}
     for (vs, _), mask in zip(sets, set_masks(H, cap)):
-        by_vec.setdefault(index_vector(P, vs), []).append(mask)
+        if mask >> n:
+            raise InvalidVertex(f"{vs} leaves the partition's vertex range")
+        vec = tuple((mask & bm).bit_count() for bm in block_masks)
+        by_vec.setdefault(vec, []).append(mask)
     out = {}
     for vec in sorted(by_vec):
         fam = by_vec[vec]
@@ -356,15 +361,20 @@ def perfectly_tilable(H: KGraph, vertices: Sequence[int], budget: int = 200_000)
         return False
     if len(vs) == 0:
         return True
-    if vs[0] < 0 or vs[-1] >= H.n:
-        raise InvalidVertex(f"{vs} leaves the vertex range 0..{H.n - 1}")
-    outside = ~_mask(vs)
-    rows = [m for m in set_masks(H) if not m & outside]
-    if not rows:
-        return False
+    _check_range(H, vs)
+    index = _set_index(H)
     if len(vs) == s:
-        return True
-    return _CoverSearch(vs, rows, budget).run() is not None
+        return index.contains(vs)
+    by_vertex = index.rows_inside(vs)
+    if not any(by_vertex.values()):
+        return False
+    return _CoverSearch(vs, by_vertex, index.masks, budget).run() is not None
+
+
+def _check_range(H: KGraph, vs: Sequence[int]) -> None:
+    """Raise InvalidVertex unless the sorted ``vs`` lies in 0..n-1."""
+    if vs and (vs[0] < 0 or vs[-1] >= H.n):
+        raise InvalidVertex(f"{tuple(vs)} leaves the vertex range 0..{H.n - 1}")
 
 
 def find_connector(
@@ -380,6 +390,7 @@ def find_connector(
     tilable; |S| <= (2k-1)t - 1 and S avoids ``forbidden``."""
     if u == v:
         raise InvalidVertex("connector endpoints must differ")
+    _check_range(H, sorted((u, v)))
     s = 2 * H.k - 1
     blocked = set(forbidden) | {u, v}
     pool = [w for w in range(H.n) if w not in blocked]
@@ -415,6 +426,7 @@ def reachable(
     """
     if m < 0:
         raise InvalidDimension("m must be nonnegative")
+    _check_range(H, sorted((u, v)))
     if mode == "certificate":
         used: set[int] = set()
         found = 0
@@ -491,6 +503,7 @@ def find_absorber(
     S = canonical_vertex_set(S)
     if len(S) != s:
         raise InvalidVertex(f"absorber target must have {s} vertices")
+    _check_range(H, S)
     blocked = set(forbidden) | set(S)
     pool = [w for w in range(H.n) if w not in blocked]
     tried = 0

@@ -10,7 +10,7 @@ pattern automorphisms, so LP columns and exact-cover rows never double count.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -222,11 +222,11 @@ def supporting_sets(
             (tuple(sorted(base + (a, b) + tail)), m, TriangleCopy(base, (a, b), tail))
             for base, a, b, tail, m in first.values()
         )
-        H._sets = ([(vs, w) for vs, _, w in rows], [m for _, m, _ in rows])
-    sets, masks = H._sets
+        H._sets = _SetIndex(H.n, [(vs, w) for vs, _, w in rows], [m for _, m, _ in rows])
+    sets = H._sets.sets
     if restrict is not None:
         outside = ~_mask(canonical_vertex_set(restrict))
-        sets = [row for row, m in zip(sets, masks) if not m & outside]
+        sets = [row for row, m in zip(sets, H._sets.masks) if not m & outside]
     _check_set_cap(len(sets), cap)
     return list(sets)
 
@@ -234,11 +234,73 @@ def supporting_sets(
 def set_masks(H: KGraph, cap: int = DEFAULT_COPY_CAP) -> list[int]:
     """Vertex masks of ``supporting_sets(H)``, row for row, from the same
     per-host index.  Callers must not mutate the list."""
+    return _set_index(H, cap).masks
+
+
+class _SetIndex:
+    """A host's supporting sets, sorted by vertex set, with their vertex masks.
+
+    Row r is ``sets[r]``.  The rows containing each vertex are built on first
+    use, by a cover search or the packing branch and bound, so a host whose
+    questions the LP settles never pays for them.
+    """
+
+    __slots__ = ("sets", "masks", "starts", "_by_vertex")
+
+    def __init__(self, n: int, sets: list, masks: list[int]):
+        self.sets = sets
+        self.masks = masks
+        # rows whose least vertex is u are starts[u] <= r < starts[u + 1]
+        self.starts = [bisect_left(sets, ((u,),)) for u in range(n + 1)]
+        self._by_vertex: Optional[dict[int, list[int]]] = None
+
+    def vertex_rows(self) -> dict[int, list[int]]:
+        """Every vertex's rows, in canonical order.  Callers must not mutate."""
+        if self._by_vertex is None:
+            n = len(self.starts) - 1
+            self._by_vertex = _rows_by_vertex(
+                range(n), ((r, vs) for r, (vs, _) in enumerate(self.sets))
+            )
+        return self._by_vertex
+
+    def contains(self, vs: tuple[int, ...]) -> bool:
+        """Is the canonical (2k-1)-tuple ``vs`` a supporting set?"""
+        r = bisect_left(self.sets, (vs,))
+        return r < len(self.sets) and self.sets[r][0] == vs
+
+    def rows_inside(self, vs: tuple[int, ...]) -> dict[int, list[int]]:
+        """``vertex_rows`` restricted to the sets inside the canonical tuple
+        ``vs``, for its vertices only.  Only rows whose least vertex lies in
+        ``vs`` are read."""
+        outside = ~_mask(vs)
+        sets, masks, starts = self.sets, self.masks, self.starts
+        by_vertex: dict[int, list[int]] = {v: [] for v in vs}
+        for u in vs:
+            for r in range(starts[u], starts[u + 1]):
+                if not masks[r] & outside:
+                    for v in sets[r][0]:
+                        by_vertex[v].append(r)
+        return by_vertex
+
+
+def _set_index(H: KGraph, cap: int = DEFAULT_COPY_CAP) -> _SetIndex:
+    """The host's supporting-set index; more than ``cap`` sets raises."""
     if H._sets is None:
         supporting_sets(H, cap=cap)
-    masks = H._sets[1]
-    _check_set_cap(len(masks), cap)
-    return masks
+    _check_set_cap(len(H._sets.masks), cap)
+    return H._sets
+
+
+def _rows_by_vertex(
+    universe: Iterable[int], rows: Iterable[tuple[int, Iterable[int]]]
+) -> dict[int, list[int]]:
+    """Row indices per vertex of ``universe``, from (index, vertex tuple)
+    pairs given in row order; every row must lie inside ``universe``."""
+    by_vertex: dict[int, list[int]] = {v: [] for v in universe}
+    for r, vs in rows:
+        for v in vs:
+            by_vertex[v].append(r)
+    return by_vertex
 
 
 def _check_set_cap(count: int, cap: int) -> None:

@@ -172,6 +172,7 @@ def rainbow_perfect_tiling(
     hosts: list[tuple[int, int, int]] = []  # per usable copy, in slot order
     masks: list[int] = []
     by_vertex: dict[int, list[int]] = {v: [] for v in range(n)}
+    servable = 0  # hosts that can serve some slot of a usable copy
     base_prev, bm = None, 0
     for base, a, b, tail, mask in _copies(union):
         if base is not base_prev:  # a base's copies come out consecutively
@@ -187,6 +188,10 @@ def rainbow_perfect_tiling(
         usable.append((base, a, b, tail))
         hosts.append((x, y, z))
         masks.append(mask)
+        servable |= x | y | z
+    # A rainbow tiling uses every host exactly once.
+    if servable != (1 << m) - 1:
+        return None
 
     full = (1 << n) - 1
     nodes = {"n": 0}

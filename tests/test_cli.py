@@ -292,3 +292,30 @@ def test_lattice_report_matches_per_pair_transferrals(tmp_path, edges_from, bloc
             )
     assert json.dumps(report["transferrals"], sort_keys=True) == json.dumps(expected, sort_keys=True)
     assert any(t["found"] for t in expected) == found
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["absorb", "{inst}", "--set", "x"],
+        ["lattice", "{inst}", "--blocks", "0-x", "--beta", "1/2"],
+        ["dh-check", "{inst}", "--a", "0-2", "--b", "x"],
+    ],
+    ids=["absorb-set", "lattice-blocks", "dh-check-a-b"],
+)
+def test_malformed_vertex_list_exits_1(tmp_path, capsys, argv):
+    inst = tmp_path / "k5.kg"
+    run(["gen", "complete", "--n", "5", "--k", "3", "-o", str(inst)])
+    capsys.readouterr()
+    assert main([a.format(inst=inst) for a in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: vertex list expected")
+
+
+def test_reach_out_of_range_endpoint_exits_1(tmp_path, capsys):
+    inst = tmp_path / "k5.kg"
+    run(["gen", "complete", "--n", "5", "--k", "3", "-o", str(inst)])
+    capsys.readouterr()
+    assert main(["reach", str(inst), "--u", "0", "--v", "9", "--m", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: (0, 9) leaves the vertex range 0..4"]

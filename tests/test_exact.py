@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -5,7 +7,7 @@ import pytest
 
 from tritile.core import KGraph, complete_kgraph
 from tritile.constructions import extremal_construction, random_with_codegree
-from tritile.errors import InvalidPartiteStructure
+from tritile.errors import BudgetExceeded, InvalidPartiteStructure
 from tritile.exact import (
     build_auxiliary_graph,
     classify_good_bad,
@@ -16,6 +18,7 @@ from tritile.exact import (
     max_tiling,
     perfect_tiling,
 )
+from tritile.lattice import perfectly_tilable
 from tritile.fractional import packing_lp_value, perfect_fractional_tiling, FractionalTiling
 from tritile.validate import check_matching, check_tiling
 
@@ -238,3 +241,67 @@ def test_integral_implies_fractional(small_corpus):
     for _, H in small_corpus[:15]:
         if perfect_tiling(H) is not None:
             assert isinstance(perfect_fractional_tiling(H), FractionalTiling)
+
+
+# LP-feasible with no perfect tiling: no two of its supporting sets are disjoint.
+_COVER_EDGES = [
+    (0, 1, 2), (0, 1, 3), (0, 1, 8), (0, 7, 8), (1, 2, 8), (1, 3, 8),
+    (1, 3, 9), (1, 4, 9), (2, 3, 7), (2, 4, 5), (2, 5, 9), (2, 6, 8),
+    (2, 7, 9), (2, 8, 9), (3, 4, 9), (3, 5, 6), (3, 5, 7), (4, 7, 8),
+    (5, 6, 8), (6, 7, 9),
+]
+
+
+def _budget_cases():
+    cover = KGraph(10, 3, _COVER_EDGES)
+    rng = random.Random(4)
+    rand = KGraph(15, 3, rng.sample(list(itertools.combinations(range(15), 3)), 110))
+    edgeless = KGraph(10, 3, [])
+    K10 = complete_kgraph(10, 3)
+    tiling = [(0, 1, 2, 3, 12), (4, 5, 8, 9, 14), (6, 7, 10, 11, 13)]
+
+    def tile(H, use_lp):
+        return lambda b: _vertex_sets(perfect_tiling(H, budget=b, use_lp=use_lp))
+
+    def best(H):
+        def call(b):
+            value, witness = max_tiling(H, budget=b)
+            return value, _vertex_sets(witness)
+
+        return call
+
+    def tilable(H, q):
+        return lambda b: perfectly_tilable(H, q, budget=b)
+
+    # (call with budget b, nodes N its search takes, answer): any change to
+    # the search order or to the budget accounting moves N
+    return [
+        (tilable(cover, range(10)), 7, False),
+        (tilable(rand, range(10)), 9, True),
+        (tilable(rand, range(5, 15)), 4, True),
+        (tilable(rand, range(15)), 8, True),
+        (tilable(rand, (0, 1, 2, 3, 4, 5, 7, 9, 11, 13)), 3, True),
+        (tilable(rand, (0, 1, 2, 3, 12)), 0, True),
+        (tilable(rand, (0, 1, 2, 3, 4)), 0, False),
+        (tilable(edgeless, range(10)), 0, False),  # no set inside: no search
+        (tile(K10, False), 2, [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]),  # MRV ties: lowest
+        (tile(cover, True), 7, None),
+        (tile(cover, False), 7, None),
+        (tile(rand, True), 8, tiling),
+        (tile(rand, False), 8, tiling),
+        (best(cover), 16, (1, [(0, 1, 2, 3, 7)])),
+        (best(rand), 72, (3, tiling)),
+    ]
+
+
+def _vertex_sets(tiling):
+    return None if tiling is None else [c.vertices for c in tiling.copies]
+
+
+def test_search_budgets_match_node_counts():
+    for call, nodes, answer in _budget_cases():
+        assert call(nodes) == answer
+        if nodes:
+            for budget in {0, nodes - 1}:
+                with pytest.raises(BudgetExceeded):
+                    call(budget)

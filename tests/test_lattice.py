@@ -120,6 +120,12 @@ def test_robust_vectors_empty_family():
     assert robust_vectors(H, P, Fraction(1, 6)) == {}
 
 
+def test_robust_vectors_partition_must_cover_the_sets():
+    P = VertexPartition((tuple(range(5)),))
+    with pytest.raises(InvalidVertex):
+        robust_vectors(complete_kgraph(6, 3), P, Fraction(1, 6))
+
+
 def test_robust_vectors_match_forall_oracle():
     for seed in range(6):
         H = random_with_codegree(8, 3, 2 + seed % 2, seed=seed + 50)
@@ -247,6 +253,20 @@ def test_absorber_complete_host():
 
 def test_absorber_edgeless_none():
     assert find_absorber(KGraph(12, 3, []), (0, 1, 2, 3, 4)) is None
+
+
+def test_out_of_range_endpoints_raise():
+    # Edgeless hosts: no set is tilable, so the searches would answer
+    # "none" or "unknown" without ever looking at the bad vertex.
+    H = KGraph(5, 3, [])
+    for mode in ("certificate", "exact"):
+        for u, v in ((0, 9), (-1, 2)):
+            with pytest.raises(InvalidVertex):
+                reachable(H, u, v, 0, mode=mode)
+    with pytest.raises(InvalidVertex):
+        find_connector(H, 9, 0)
+    with pytest.raises(InvalidVertex):
+        find_absorber(KGraph(12, 3, []), (0, 1, 2, 3, 12))
 
 
 def test_absorber_disjoint_pair_on_k25():

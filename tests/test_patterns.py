@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from tritile.core import KGraph, complete_kgraph
 from tritile.constructions import extremal_construction, random_with_codegree
 from tritile.errors import BudgetExceeded, InvalidArity, InvalidColoring, InvalidUniformity
-from tritile.lattice import perfectly_tilable
+from tritile.lattice import VertexPartition, index_vector, perfectly_tilable, robust_vectors
 from tritile.patterns import (
     TriangleCopy,
     blowup,
@@ -171,9 +172,9 @@ def _brute_copies(H, vs):
     return copies[:1] if H.k == 2 else copies
 
 
-@given(hosts_and_subsets())
+@given(hosts_and_subsets(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_supporting_sets_match_brute_force(case):
+def test_supporting_sets_match_brute_force(case, data):
     H, R = case
     s = 2 * H.k - 1
     sets = supporting_sets(H)
@@ -198,6 +199,32 @@ def test_supporting_sets_match_brute_force(case):
     if inside:
         with pytest.raises(BudgetExceeded):
             supporting_sets(H, restrict=R, cap=len(inside) - 1)
+    # one set (a lookup) and two sets (a cover search over per-vertex rows)
+    for size in (s, 2 * s):
+        if size <= H.n:
+            vertices = st.integers(0, H.n - 1)
+            Q = data.draw(st.lists(vertices, min_size=size, max_size=size, unique=True))
+            assert perfectly_tilable(H, Q) == brute_perfectly_tilable(H, Q)
+    # robust_vectors groups each set under its index vector
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=H.n, max_size=H.n))
+    P = VertexPartition(
+        tuple(tuple(v for v in range(H.n) if labels[v] == b) for b in sorted(set(labels)))
+    )
+    groups: dict = {}
+    for vs in brute:
+        groups.setdefault(index_vector(P, vs), []).append(set(vs))
+    removable = 1
+    reports = robust_vectors(H, P, Fraction(removable, H.n))
+    assert sorted(reports) == sorted(groups)
+    for vec, family in groups.items():
+        tau = removable + 1  # the transversal number, capped
+        for t in range(removable + 1):
+            cuts = itertools.combinations(range(H.n), t)
+            if any(all(S & set(W) for S in family) for W in cuts):
+                tau = t
+                break
+        status = "robust" if tau > removable else "not-robust"
+        assert (reports[vec].status, reports[vec].value) == (status, tau)
 
 
 def test_supporting_sets_cap_before_caching():

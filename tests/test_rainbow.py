@@ -136,10 +136,21 @@ def test_rainbow_budget_raises_never_none():
     for fam in (GraphFamily((full,) * 6), scarce):
         with pytest.raises(BudgetExceeded):
             rainbow_perfect_tiling(fam, budget=0)
-    # Two nodes decide the union's tiling; the rainbow search itself needs
-    # more before it can rule the scarce family out.
+    # Both one-edge hosts can only serve the edge {0,1,2}, which no two
+    # disjoint copies share, so this family has no rainbow tiling.  Every
+    # host serves some usable copy, so only the search can rule it out: two
+    # nodes decide the union's tiling, and the rainbow search needs more.
+    one = KGraph(10, 3, [(0, 1, 2)])
     with pytest.raises(BudgetExceeded):
-        rainbow_perfect_tiling(scarce, budget=2)
+        rainbow_perfect_tiling(GraphFamily((full,) * 4 + (one, one)), budget=2)
+
+
+def test_rainbow_host_serving_no_copy_rules_out():
+    # The edgeless host can serve no slot, so no search is needed.
+    full = complete_kgraph(10, 3)
+    scarce = GraphFamily((full,) * 5 + (KGraph(10, 3, []),))
+    assert rainbow_perfect_tiling(scarce, budget=2) is None
+    assert rainbow_perfect_tiling(scarce) is None
 
 
 def test_rainbow_consistent_with_union_tiling(small_corpus):
