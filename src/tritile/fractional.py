@@ -6,6 +6,14 @@ dual multipliers, which are returned as an integer-scaled Farkas certificate.
 Pivoting is deterministic and anti-cycling (lexicographic ratio test), and
 all arithmetic is `fractions.Fraction`, so certificates and optima are exact
 and reproducible bit for bit.
+
+Every pivot, and every basis repair, goes through one sparse elimination
+routine that touches only the nonzero columns of the pivot row.  The ratio
+test's lexicographic reference Q starts at identity and receives the same
+row operations as B^-1, so a cold solve (started from the identity basis:
+phase 1, `perfect_fractional_tiling`, `packing_lp_value`) keeps Q == B^-1 as
+one matrix; only a warm solve (phase 2 of `min_max_pair_weight`, started
+from phase 1's B^-1) keeps a separate Q.
 """
 
 from __future__ import annotations
@@ -109,6 +117,10 @@ def frac_str(q) -> str:
 # degeneracy of the min-max programs (Bland stalls there).
 
 
+def _identity(n: int) -> list[list[Fraction]]:
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+
+
 class _Column:
     __slots__ = ("rows", "coefs", "cost")
 
@@ -141,17 +153,22 @@ class _Simplex:
         """
         n = self.nrows
         cols = self.columns
+        # Lexicographic reference: rows (xb_i | Q_i) with Q starting at
+        # identity are lex-positive and stay so under the lex ratio rule.  Q
+        # receives exactly the row operations of B^-1, so a cold solve
+        # (B^-1 starts at identity) keeps Q == B^-1 in one matrix; a warm
+        # solve keeps a separate Q.
         if binv is None:
-            binv = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+            binv = _identity(n)
             xb = list(self.b)
+            mats = (binv,)
         else:
             binv = [row[:] for row in binv]
             xb = self._basic_values(binv)
+            mats = (binv, _identity(n))
+        Q = mats[-1]
         basis = list(basis)
         banned = set(banned)
-        # Fresh lexicographic reference: rows (xb_i | Q_i) with Q starting at
-        # identity are lex-positive and stay so under the lex ratio rule.
-        Q = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
         for _pivot in range(pivot_cap):
             obj = sum(
@@ -184,15 +201,7 @@ class _Simplex:
             if entering < 0:
                 return obj, basis, binv, xb, y
 
-            col = cols[entering]
-            d = [_ZERO] * n
-            for r, c in zip(col.rows, col.coefs):
-                if c:
-                    for i in range(n):
-                        v = binv[i][r]
-                        if v:
-                            d[i] += c * v
-
+            d = self._column(binv, cols[entering])
             leave = -1
             for i in range(n):
                 if d[i] <= 0:
@@ -201,21 +210,7 @@ class _Simplex:
                     leave = i
             if leave < 0:
                 raise ArithmeticError("unbounded direction in simplex")
-
-            piv = d[leave]
-            inv_piv = 1 / piv
-            binv[leave] = [v * inv_piv for v in binv[leave]]
-            Q[leave] = [v * inv_piv for v in Q[leave]]
-            xb[leave] *= inv_piv
-            row_b, row_q, xl = binv[leave], Q[leave], xb[leave]
-            for i in range(n):
-                if i == leave:
-                    continue
-                f = d[i]
-                if f:
-                    binv[i] = [a - f * c for a, c in zip(binv[i], row_b)]
-                    Q[i] = [a - f * c for a, c in zip(Q[i], row_q)]
-                    xb[i] -= f * xl
+            self._pivot(mats, xb, leave, d)
             basis[leave] = entering
         raise BudgetExceeded(f"simplex pivot cap {pivot_cap} exceeded")
 
@@ -247,34 +242,55 @@ class _Simplex:
             if xb[i] != 0:
                 raise ArithmeticError("repair expects zero-valued unwanted basics")
             in_basis = set(basis)
+            row = binv[i]
             for j in allowed:
                 if j in in_basis:
                     continue
                 col = self.columns[j]
-                dij = _ZERO
-                for r, c in zip(col.rows, col.coefs):
-                    if c and binv[i][r]:
-                        dij += c * binv[i][r]
+                dij = sum((c * row[r] for r, c in zip(col.rows, col.coefs)), start=_ZERO)
                 if dij == 0:
                     continue
-                # theta = xb[i]/dij = 0: basis swap leaves the solution as is
-                binv[i] = [v / dij for v in binv[i]]
-                self._eliminate(binv, i, col, n)
+                d = self._column(binv, col)
+                # theta = xb[i]/d[i] = 0: basis swap leaves the solution as is
+                self._pivot((binv,), xb, i, d)
                 basis[i] = j
                 break
         return basis, binv
 
-    def _eliminate(self, binv, pivot_row, col, n):
-        row_b = binv[pivot_row]
-        for t in range(n):
-            if t == pivot_row:
-                continue
-            ft = _ZERO
-            for r, c in zip(col.rows, col.coefs):
-                if c and binv[t][r]:
-                    ft += c * binv[t][r]
-            if ft:
-                binv[t] = [a - ft * b for a, b in zip(binv[t], row_b)]
+    @staticmethod
+    def _column(binv, col):
+        """d = B^-1 a for the column a, with exact Fraction entries."""
+        n = len(binv)
+        d = [_ZERO] * n
+        for r, c in zip(col.rows, col.coefs):
+            if c:
+                for i in range(n):
+                    v = binv[i][r]
+                    if v:
+                        d[i] += c * v
+        return d
+
+    @staticmethod
+    def _pivot(mats, xb, leave, d):
+        """Make d the unit vector at ``leave``: divide row ``leave`` by d[leave]
+        and subtract d[i] times it from every other row i, in place, in each
+        matrix of ``mats`` and in xb.  Only the pivot row's nonzero columns
+        are touched, since the others would only subtract zeros."""
+        inv_piv = 1 / d[leave]
+        xb[leave] *= inv_piv
+        xl = xb[leave]
+        crossed = [(i, f) for i, f in enumerate(d) if f and i != leave]
+        for M in mats:
+            row = M[leave]
+            pivot_row = [(j, v * inv_piv) for j, v in enumerate(row) if v]
+            for j, v in pivot_row:
+                row[j] = v
+            for i, f in crossed:
+                target = M[i]
+                for j, v in pivot_row:
+                    target[j] -= f * v
+        for i, f in crossed:
+            xb[i] -= f * xl
 
     def _multipliers(self, basis, binv):
         n = self.nrows

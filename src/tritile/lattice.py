@@ -422,10 +422,13 @@ def reachable(
 
     Certificate mode finds m+1 pairwise disjoint connectors (sound, may answer
     unknown).  Exact mode enumerates the whole connector family and decides
-    whether some m vertices meet it entirely (small hosts only).
+    whether some m vertices meet it entirely (small hosts only).  In both
+    modes u and v must differ.
     """
     if m < 0:
         raise InvalidDimension("m must be nonnegative")
+    if u == v:
+        raise InvalidVertex("connector endpoints must differ")
     _check_range(H, sorted((u, v)))
     if mode == "certificate":
         used: set[int] = set()

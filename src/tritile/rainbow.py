@@ -140,9 +140,11 @@ def rainbow_perfect_tiling(
 
     Sound and complete within budget: exact cover over vertices on copies of
     the union, pruned whenever the partial slot/host bipartite graph has no
-    saturating matching.  Copies stay plain tuples; each union edge, keyed by
-    its vertex mask, carries the bitmask of the hosts containing it, and only
-    the chosen copies become ``TriangleCopy`` objects.
+    saturating matching.  A family whose hosts cannot take distinct union
+    edges is ruled out first, without search.  Copies stay plain tuples;
+    each union edge, keyed by its vertex mask, carries the bitmask of the
+    hosts containing it, and only the chosen copies become ``TriangleCopy``
+    objects.
     """
     n, k = family.n, family.k
     s = 2 * k - 1
@@ -153,6 +155,11 @@ def rainbow_perfect_tiling(
         raise InvalidFamily(f"family must have 3n/(2k-1) = {m} hosts, has {len(family.hosts)}")
 
     union = family.union()
+    # The slots of a rainbow tiling are distinct edges of the union, one per
+    # host, so the hosts must match to distinct union edges.
+    edge_bit = {e: 1 << i for i, e in enumerate(union.edges)}
+    if not _bipartite_saturates([sum(edge_bit[e] for e in h.edges) for h in family.hosts]):
+        return None
     # A rainbow tiling is in particular a perfect tiling of the union, and
     # that decision is much cheaper (it has a fractional prefilter).
     from .exact import perfect_tiling

@@ -319,3 +319,12 @@ def test_reach_out_of_range_endpoint_exits_1(tmp_path, capsys):
     assert main(["reach", str(inst), "--u", "0", "--v", "9", "--m", "0"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: (0, 9) leaves the vertex range 0..4"]
+
+
+def test_reach_equal_endpoints_exits_1(tmp_path, capsys):
+    inst = tmp_path / "k5.kg"
+    run(["gen", "complete", "--n", "5", "--k", "3", "-o", str(inst)])
+    capsys.readouterr()
+    assert main(["reach", str(inst), "--u", "2", "--v", "2", "--m", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: connector endpoints must differ"]

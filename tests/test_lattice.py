@@ -223,6 +223,12 @@ def test_reachable_modes_complete():
     assert reachable(K10, 0, 1, 10, mode="exact") == NO
 
 
+@pytest.mark.parametrize("mode", ["certificate", "exact"])
+def test_reachable_equal_endpoints_raise_in_both_modes(mode):
+    with pytest.raises(InvalidVertex, match="connector endpoints must differ"):
+        reachable(complete_kgraph(10, 3), 2, 2, 1, mode=mode)
+
+
 def test_reachable_certificate_never_contradicts_exact(small_corpus):
     for _, H in small_corpus[:12]:
         cert = reachable(H, 0, 1, 1)

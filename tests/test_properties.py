@@ -1,0 +1,78 @@
+"""Cross-layer invariants on small random hosts.
+
+Each property ties two layers that share no decision code: the exact
+simplex (fractional verdicts, Farkas certificates, the packing LP), the
+exact-cover search run without its fractional prefilter, the branch and
+bound, and the independent validators.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tritile.core import KGraph
+from tritile.exact import max_tiling, perfect_tiling
+from tritile.fractional import (
+    FarkasCertificate,
+    packing_lp_value,
+    perfect_fractional_tiling,
+)
+from tritile.validate import check_certificate, check_fractional, check_tiling
+
+
+@st.composite
+def small_hosts(draw):
+    """k=3 hosts on 5..10 vertices and k=4 hosts on 7..9 vertices, with each
+    k-set an edge independently at a drawn density."""
+    k = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(2 * k - 1, 10 if k == 3 else 9))
+    density = draw(st.integers(2, 10)) / 10
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [e for e in itertools.combinations(range(n), k) if rng.random() < density]
+    return KGraph(n, k, edges)
+
+
+def _relabel(H: KGraph, perm) -> KGraph:
+    return KGraph(H.n, H.k, [sorted(perm[v] for v in e) for e in H.edges])
+
+
+@given(small_hosts())
+@settings(max_examples=40, deadline=None)
+def test_fractional_verdict_agrees_with_the_cover_search(H):
+    verdict = perfect_fractional_tiling(H)
+    tiling = perfect_tiling(H, use_lp=False)
+    if isinstance(verdict, FarkasCertificate):
+        assert check_certificate(H, verdict)
+        assert tiling is None
+    else:
+        assert check_fractional(H, verdict)
+    if tiling is not None:
+        assert check_tiling(H, tiling, require_perfect=True)
+        assert not isinstance(verdict, FarkasCertificate)
+
+
+@given(small_hosts())
+@settings(max_examples=40, deadline=None)
+def test_packing_lp_bounds_max_tiling_and_marks_feasibility(H):
+    value, omega = packing_lp_value(H)
+    assert check_fractional(H, omega, require_perfect=False)
+    assert sum(omega.weights.values()) == value
+    size, witness = max_tiling(H)
+    assert check_tiling(H, witness) and len(witness.copies) == size
+    assert size <= value.numerator // value.denominator
+    feasible = not isinstance(perfect_fractional_tiling(H), FarkasCertificate)
+    assert (value == Fraction(H.n, 2 * H.k - 1)) == feasible
+
+
+@given(small_hosts(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_verdict_and_lp_value_ignore_vertex_labels(H, rng):
+    perm = list(range(H.n))
+    rng.shuffle(perm)
+    H2 = _relabel(H, perm)
+    a, b = perfect_fractional_tiling(H), perfect_fractional_tiling(H2)
+    assert isinstance(a, FarkasCertificate) == isinstance(b, FarkasCertificate)
+    assert packing_lp_value(H)[0] == packing_lp_value(H2)[0]

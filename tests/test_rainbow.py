@@ -132,17 +132,30 @@ def test_rainbow_matches_brute_force(family):
 
 def test_rainbow_budget_raises_never_none():
     full = complete_kgraph(10, 3)
-    scarce = GraphFamily((full,) * 5 + (KGraph(10, 3, []),))
-    for fam in (GraphFamily((full,) * 6), scarce):
+    one = KGraph(10, 3, [(0, 1, 2)])
+    for fam in (GraphFamily((full,) * 6), GraphFamily((full,) * 5 + (one,))):
         with pytest.raises(BudgetExceeded):
             rainbow_perfect_tiling(fam, budget=0)
-    # Both one-edge hosts can only serve the edge {0,1,2}, which no two
-    # disjoint copies share, so this family has no rainbow tiling.  Every
-    # host serves some usable copy, so only the search can rule it out: two
-    # nodes decide the union's tiling, and the rainbow search needs more.
-    one = KGraph(10, 3, [(0, 1, 2)])
+    # The three one-edge hosts hold pairwise disjoint edges, and the three
+    # edges of a copy pairwise meet, so two of them would share one of the
+    # two copies: no rainbow tiling.  The hosts match to distinct edges and
+    # every host serves some usable copy, so only the search can rule it
+    # out: two nodes decide the union's tiling, and the rainbow search needs
+    # more.
+    ones = tuple(KGraph(10, 3, [e]) for e in [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
     with pytest.raises(BudgetExceeded):
-        rainbow_perfect_tiling(GraphFamily((full,) * 4 + (one, one)), budget=2)
+        rainbow_perfect_tiling(GraphFamily((full,) * 3 + ones), budget=2)
+
+
+def test_rainbow_hosts_without_distinct_edges_rule_out():
+    # Both one-edge hosts can only serve the edge {0,1,2}, and the slots of a
+    # rainbow tiling are distinct edges, so the family is ruled out before
+    # any search node: even a zero budget answers None.
+    full = complete_kgraph(10, 3)
+    one = KGraph(10, 3, [(0, 1, 2)])
+    fam = GraphFamily((full,) * 4 + (one, one))
+    assert rainbow_perfect_tiling(fam, budget=0) is None
+    assert rainbow_perfect_tiling(fam) is None
 
 
 def test_rainbow_host_serving_no_copy_rules_out():
