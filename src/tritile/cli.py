@@ -30,6 +30,7 @@ from .core import (
 )
 from .errors import BudgetExceeded, TritileError
 from .exact import (
+    DEFAULT_NODE_BUDGET,
     _decide_perfect_tiling,
     corollary_check,
     dh_condition,
@@ -55,18 +56,16 @@ from .lattice import (
 )
 from .rainbow import GraphFamily, rainbow_perfect_tiling
 
-DEFAULT_BUDGET = 2_000_000
-
 
 class UsageError(Exception):
     pass
 
 
 def _env_budget() -> int:
-    """Default node budget: ``TRITILE_BUDGET`` when set, else DEFAULT_BUDGET."""
+    """Default node budget: ``TRITILE_BUDGET`` when set, else DEFAULT_NODE_BUDGET."""
     text = os.environ.get("TRITILE_BUDGET")
     if text is None:
-        return DEFAULT_BUDGET
+        return DEFAULT_NODE_BUDGET
     try:
         return int(text)
     except ValueError:

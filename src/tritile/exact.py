@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .core import KGraph, _mask, canonical_vertex_set
+from .core import KGraph, _mask, canonical_vertex_set, is_gamma_extremal
 from .errors import (
     BudgetExceeded,
     DivisibilityError,
@@ -49,7 +49,9 @@ class _CoverSearch:
     contain it, every such row lying inside the universe; ``row_masks`` gives
     each row's vertex mask.  Deterministic: the branching vertex is the
     uncovered one with the fewest live rows (ties to the lowest id), rows are
-    tried in their listed order.  Node budget guards runaway instances.
+    tried in their listed order.  ``accept(chosen)``, when given, sees the
+    partial cover after each appended row and prunes it by returning False.
+    Node budget guards runaway instances.
     """
 
     def __init__(
@@ -58,11 +60,13 @@ class _CoverSearch:
         by_vertex: dict[int, list[int]],
         row_masks: Sequence[int],
         budget: int,
+        accept: Optional[Callable[[list[int]], bool]] = None,
     ):
         self.universe = tuple(universe)
         self.by_vertex = by_vertex
         self.row_masks = row_masks
         self.budget = budget
+        self.accept = accept
         self.nodes = 0
         self.full = _mask(self.universe)
 
@@ -75,22 +79,53 @@ class _CoverSearch:
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"cover search exceeded {self.budget} nodes")
+        row_masks, by_vertex = self.row_masks, self.by_vertex
         best: Optional[list[int]] = None
         for v in self.universe:
             if covered >> v & 1:
                 continue
-            live = [r for r in self.by_vertex[v] if not self.row_masks[r] & covered]
+            live = [r for r in by_vertex[v] if not row_masks[r] & covered]
             if best is None or len(live) < len(best):
                 best = live
                 if not live:
                     return None
+        accept = self.accept
         for r in best:
             chosen.append(r)
-            found = self._search(covered | self.row_masks[r], chosen)
-            if found is not None:
-                return found
+            if accept is None or accept(chosen):
+                found = self._search(covered | row_masks[r], chosen)
+                if found is not None:
+                    return found
             chosen.pop()
         return None
+
+
+def _disjoint_rows(masks: Sequence[int], want: int, budget: int) -> Optional[list[int]]:
+    """The lexicographically first ``want`` pairwise disjoint rows, or None.
+
+    Not a cover search: a packing need not cover any vertex, so there is no
+    vertex to branch on; each node extends the packing by a later row.  The
+    node budget is charged as in ``_CoverSearch``.
+    """
+    chosen: list[int] = []
+    nodes = 0
+
+    def extend(start: int, used: int) -> bool:
+        nonlocal nodes
+        if len(chosen) == want:
+            return True
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"packing search exceeded {budget} nodes")
+        for i in range(start, len(masks)):
+            if not masks[i] & used:
+                chosen.append(i)
+                if extend(i + 1, used | masks[i]):
+                    return True
+                chosen.pop()
+        return False
+
+    return chosen if extend(0, 0) else None
 
 
 def _edge_cover(universe: Sequence[int], edges: Sequence[tuple[int, ...]], budget: int):
@@ -492,8 +527,6 @@ def extremal_pipeline(
     says which one.  Defaults: gamma' = gamma^(1/4), beta = gamma^(1/8),
     both handled by power comparisons so verdicts stay exact.
     """
-    from .core import is_gamma_extremal  # local import to avoid cycle at module load
-
     gamma = Fraction(gamma)
     k = H.k
     n = H.n
@@ -558,29 +591,14 @@ def extremal_pipeline(
         goods = [q for q in itertools.combinations(e, k - 1) if q in good_set]
         if goods:
             m_candidates.append((e, goods[0]))  # least good set: combinations are sorted
-    matching: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    used_m = 0
-
-    def extend_matching(start: int, used: int) -> bool:
-        if len(matching) == len(X):
-            return True
-        for idx in range(start, len(m_candidates)):
-            e, q = m_candidates[idx]
-            em = _mask(e)
-            if em & used:
-                continue
-            matching.append((e, q))
-            if extend_matching(idx + 1, used | em):
-                return True
-            matching.pop()
-        return False
-
-    if not extend_matching(0, used_m):
+    m_rows = _disjoint_rows([_mask(e) for e, _ in m_candidates], len(X), budget)
+    if m_rows is None:
         return fail(
             "matching-M",
             f"no matching of size |X|={len(X)} through good sets "
             f"({len(m_candidates)} candidate edges)",
         )
+    matching = [m_candidates[r] for r in m_rows]
     ok("matching-M", f"size={len(matching)}")
 
     # one copy per matched edge, each with a single vertex in B

@@ -24,7 +24,7 @@ from .errors import (
     InvalidEdgeProfile,
     InvalidVertex,
 )
-from .exact import _CoverSearch
+from .exact import DEFAULT_NODE_BUDGET, _CoverSearch, _disjoint_rows
 from .patterns import DEFAULT_COPY_CAP, _set_index, set_masks, supporting_sets
 
 YES = "yes"
@@ -224,25 +224,6 @@ def _min_hit_decision(family: list[int], limit: int, budget: int) -> Optional[li
     return rec(family, 0, [])
 
 
-def _disjoint_packing(family: list[int], want: int, budget: int) -> bool:
-    """Exact decision: ``want`` pairwise disjoint members exist."""
-    nodes = {"n": 0}
-
-    def rec(start: int, used: int, have: int) -> bool:
-        if have == want:
-            return True
-        nodes["n"] += 1
-        if nodes["n"] > budget:
-            raise BudgetExceeded(f"packing search exceeded {budget} nodes")
-        for i in range(start, len(family)):
-            if not family[i] & used:
-                if rec(i + 1, used | family[i], have + 1):
-                    return True
-        return False
-
-    return rec(0, 0, 0)
-
-
 def robust_vectors(
     H: KGraph,
     P: VertexPartition,
@@ -250,7 +231,7 @@ def robust_vectors(
     *,
     mode: str = "exact",
     cap: int = DEFAULT_COPY_CAP,
-    budget: int = 2_000_000,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> dict[tuple[int, ...], RobustnessReport]:
     """Robustness of every achieved index vector of copy vertex sets.
 
@@ -291,11 +272,11 @@ def robust_vectors(
                 out[vec] = RobustnessReport(vec, "not-robust", mode, tau, m)
         elif mode == "packing-bound":
             try:
-                packed = _disjoint_packing(fam, m + 1, budget)
+                packed = _disjoint_rows(fam, m + 1, budget)
             except BudgetExceeded:
                 out[vec] = RobustnessReport(vec, UNKNOWN, mode, 0, m)
                 continue
-            if packed:
+            if packed is not None:
                 out[vec] = RobustnessReport(vec, "robust", mode, m + 1, m)
             else:
                 out[vec] = RobustnessReport(vec, UNKNOWN, mode, 0, m)

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import exact
 from .core import KGraph, _mask
 from .errors import BudgetExceeded, InvalidFamily
 from .patterns import TriangleCopy, Tiling, _copies
-
-DEFAULT_NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def _lex_least_assignment(slot_hosts: list[int]) -> list[int]:
 def rainbow_perfect_tiling(
     family: GraphFamily,
     *,
-    budget: int = DEFAULT_NODE_BUDGET,
+    budget: int = exact.DEFAULT_NODE_BUDGET,
 ) -> Optional[RainbowTiling]:
     """Exact decision for a perfect rainbow tiling of the family.
 
@@ -162,9 +161,7 @@ def rainbow_perfect_tiling(
         return None
     # A rainbow tiling is in particular a perfect tiling of the union, and
     # that decision is much cheaper (it has a fractional prefilter).
-    from .exact import perfect_tiling
-
-    if perfect_tiling(union, budget=budget) is None:
+    if exact.perfect_tiling(union, budget=budget) is None:
         return None
 
     edge_hosts: dict[int, int] = {}  # edge vertex mask -> host bitmask
@@ -200,35 +197,10 @@ def rainbow_perfect_tiling(
     if servable != (1 << m) - 1:
         return None
 
-    full = (1 << n) - 1
-    nodes = {"n": 0}
+    def fits(chosen: list[int]) -> bool:
+        return _bipartite_saturates([hp for q in chosen for hp in hosts[q]])
 
-    def search(covered: int, chosen: list[int]) -> Optional[list[int]]:
-        if covered == full:
-            return list(chosen)
-        nodes["n"] += 1
-        if nodes["n"] > budget:
-            raise BudgetExceeded(f"rainbow search exceeded {budget} nodes")
-        best = None
-        for v in range(n):
-            if covered >> v & 1:
-                continue
-            live = [r for r in by_vertex[v] if not masks[r] & covered]
-            if best is None or len(live) < len(best):
-                best = live
-                if not live:
-                    return None
-        for r in best:
-            chosen.append(r)
-            slot_hosts = [hp for q in chosen for hp in hosts[q]]
-            if _bipartite_saturates(slot_hosts):
-                found = search(covered | masks[r], chosen)
-                if found is not None:
-                    return found
-            chosen.pop()
-        return None
-
-    rows = search(0, [])
+    rows = exact._CoverSearch(range(n), by_vertex, masks, budget, fits).run()
     if rows is None:
         return None
     rows.sort()  # row order is the canonical copy order
@@ -256,7 +228,7 @@ def color_covering_homomorphism(
     H1: KGraph,
     H2: KGraph,
     *,
-    budget: int = 2_000_000,
+    budget: int = exact.DEFAULT_NODE_BUDGET,
 ) -> Optional[CoverEmbedding]:
     """Exact backtracking over the designated edge and the embedding."""
     if H1.n != H2.n or H1.k != H2.k or F.k != H1.k:

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -328,3 +329,99 @@ def test_reach_equal_endpoints_exits_1(tmp_path, capsys):
     assert main(["reach", str(inst), "--u", "2", "--v", "2", "--m", "0"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: connector endpoints must differ"]
+
+
+def _copy(j):
+    """A TriangleCopy rebuilt from its report entry: base = e1 & e2."""
+    from tritile.patterns import TriangleCopy
+
+    e1, e2, spine = (set(e) for e in j["edges"])
+    base = e1 & e2
+    apexes = (e1 - base) | (e2 - base)
+    return TriangleCopy(tuple(base), tuple(apexes), tuple(spine - apexes))
+
+
+def _tiling(j, n):
+    from tritile.patterns import Tiling
+
+    return Tiling(tuple(_copy(c) for c in j["copies"]), n)
+
+
+def _fractional(j, n):
+    from tritile.fractional import FractionalTiling
+
+    weights = {_copy(w["copy"]): parse_rational(w["weight"]) for w in j["weights"]}
+    return FractionalTiling(n, weights)
+
+
+def _certificate(j):
+    from tritile.fractional import FarkasCertificate
+
+    return FarkasCertificate(tuple(j["coeffs"]))
+
+
+def _max_pair_weight(omega):
+    return max(omega.pair_weight(u, v) for u in range(omega.n) for v in range(u + 1, omega.n))
+
+
+def test_every_cli_witness_validates(tmp_path):
+    from tritile import validate
+    from tritile.core import KGraph, save_kgraph
+    from tritile.rainbow import GraphFamily, RainbowTiling
+
+    paths = {}
+    for name, argv in [
+        ("k10", ["complete", "--n", "10", "--k", "3"]),
+        ("k15", ["complete", "--n", "15", "--k", "3"]),
+        ("ext", ["extremal", "--k", "3", "--n", "15"]),
+        ("rand", ["random", "--n", "10", "--k", "3", "--delta", "3", "--seed", "8"]),
+    ]:
+        paths[name] = str(tmp_path / f"{name}.kg")
+        assert run(["gen", *argv, "-o", paths[name]])[1] == 0
+    hosts = {name: load_kgraph(p) for name, p in paths.items()}
+    triples = itertools.product(range(3), range(3, 6), range(6, 9))
+    J = KGraph(9, 3, [e for e in triples if sum(e) % 3])
+    save_kgraph(J, tmp_path / "J.kg")
+    (tmp_path / "fam.txt").write_text("k10.kg\n" * 6)
+
+    def report(*argv):
+        rep, code = run(list(argv))
+        assert code == 0, rep
+        return rep
+
+    H = hosts["rand"]
+    rep = report("tile", paths["rand"])
+    assert rep["verdict"] == "decided-yes"
+    assert validate.check_tiling(H, _tiling(rep["witness"], 10), require_perfect=True)
+    rep = report("pack", paths["rand"])
+    witness = _tiling(rep["witness"], 10)
+    assert validate.check_tiling(H, witness) and len(witness.copies) == int(rep["value"])
+    rep = report("fractile", paths["rand"])
+    assert validate.check_fractional(H, _fractional(rep["witness"], 10))
+    rep = report("minmax", paths["rand"])
+    omega = _fractional(rep["witness"], 10)
+    assert validate.check_fractional(H, omega)
+    assert _max_pair_weight(omega) == parse_rational(rep["value"])
+
+    ext = hosts["ext"]
+    for command in ("tile", "fractile", "farkas", "minmax"):
+        rep = report(command, paths["ext"])
+        assert rep["verdict"] == "decided-no"
+        assert validate.check_certificate(ext, _certificate(rep["certificate"]))
+
+    k10 = hosts["k10"]
+    rep = report("connector", paths["k10"], "--u", "0", "--v", "1")
+    assert validate.check_connector(k10, rep["witness"], 0, 1)
+    rep = report("absorb", paths["k10"], "--set", "0,1,2,3,4")
+    assert validate.check_absorber(k10, rep["witness"], (0, 1, 2, 3, 4))
+
+    rep = report("rainbow", str(tmp_path / "fam.txt"))
+    rt = RainbowTiling(_tiling(rep["witness"]["tiling"], 10), tuple(rep["witness"]["assignment"]))
+    assert validate.check_rainbow(GraphFamily((k10,) * 6), rt)
+
+    rep = report("pipeline", paths["k15"], "--gamma", "1")
+    assert validate.check_tiling(hosts["k15"], _tiling(rep["witness"], 15), require_perfect=True)
+
+    rep = report("dh-check", str(tmp_path / "J.kg"), "--classes", "0-2;3-5;6-8", "--matching")
+    assert rep["matching"] is not None
+    assert validate.check_matching(J, rep["matching"])

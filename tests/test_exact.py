@@ -18,7 +18,8 @@ from tritile.exact import (
     max_tiling,
     perfect_tiling,
 )
-from tritile.lattice import perfectly_tilable
+from tritile.lattice import VertexPartition, perfectly_tilable, robust_vectors
+from tritile.rainbow import GraphFamily, rainbow_perfect_tiling
 from tritile.fractional import packing_lp_value, perfect_fractional_tiling, FractionalTiling
 from tritile.validate import check_matching, check_tiling
 
@@ -214,6 +215,20 @@ def test_pipeline_extremal_fails_honestly():
     assert all(s.status == "ok" for s in res.stages[:-1])
 
 
+def test_pipeline_matching_search_is_budgeted():
+    # |X| = 1 here, so the matching-M stage has to search; a blown budget
+    # raises instead of reporting the stage as failed.
+    H = extremal_construction(3, 15).graph
+    with pytest.raises(BudgetExceeded):
+        extremal_pipeline(H, Fraction(0), budget=0)
+    res = extremal_pipeline(H, Fraction(0))
+    assert res.stages[-1].to_json() == {
+        "stage": "matching-M",
+        "status": "failed",
+        "detail": "no matching of size |X|=1 through good sets (0 candidate edges)",
+    }
+
+
 def test_pipeline_crafted_instance_succeeds():
     inst = extremal_construction(3, 15)
     edges = set(inst.graph.edges)
@@ -259,6 +274,13 @@ def _budget_cases():
     edgeless = KGraph(10, 3, [])
     K10 = complete_kgraph(10, 3)
     tiling = [(0, 1, 2, 3, 12), (4, 5, 8, 9, 14), (6, 7, 10, 11, 13)]
+    halves = [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
+    pick = random.Random(1)
+    union = [e for e in itertools.combinations(range(10), 3) if pick.random() < 0.7]
+    sparse = GraphFamily(
+        tuple(KGraph(10, 3, [e for e in union if pick.random() < 0.3]) for _ in range(6))
+    )
+    matched, unmatched = _tripartite(5), _tripartite(7)
 
     def tile(H, use_lp):
         return lambda b: _vertex_sets(perfect_tiling(H, budget=b, use_lp=use_lp))
@@ -272,6 +294,16 @@ def _budget_cases():
 
     def tilable(H, q):
         return lambda b: perfectly_tilable(H, q, budget=b)
+
+    def rainbow(family):
+        def call(b):
+            rt = rainbow_perfect_tiling(family, budget=b)
+            return None if rt is None else (_vertex_sets(rt.tiling), rt.assignment)
+
+        return call
+
+    def matching(J, classes):
+        return lambda b: kpartite_perfect_matching(J, classes, budget=b)
 
     # (call with budget b, nodes N its search takes, answer): any change to
     # the search order or to the budget accounting moves N
@@ -291,7 +323,21 @@ def _budget_cases():
         (tile(rand, False), 8, tiling),
         (best(cover), 16, (1, [(0, 1, 2, 3, 7)])),
         (best(rand), 72, (3, tiling)),
+        # a rainbow call also decides the union's tiling under the same
+        # budget (two nodes for both families); N is the larger count
+        (rainbow(GraphFamily((K10,) * 6)), 2, (halves, (0, 1, 2, 3, 4, 5))),
+        (rainbow(sparse), 6, ([(0, 1, 3, 7, 8), (2, 4, 5, 6, 9)], (2, 4, 5, 0, 1, 3))),
+        (matching(*matched), 4, [(0, 5, 10), (3, 6, 11), (1, 4, 8), (2, 7, 9)]),
+        (matching(*unmatched), 3, None),
     ]
+
+
+def _tripartite(seed, m=4, p=0.15):
+    """A seeded random 3-partite 3-graph on classes of size m."""
+    rng = random.Random(seed)
+    classes = [list(range(i * m, (i + 1) * m)) for i in range(3)]
+    edges = [e for e in itertools.product(*classes) if rng.random() < p]
+    return KGraph(3 * m, 3, edges), classes
 
 
 def _vertex_sets(tiling):
@@ -305,3 +351,19 @@ def test_search_budgets_match_node_counts():
             for budget in {0, nodes - 1}:
                 with pytest.raises(BudgetExceeded):
                     call(budget)
+
+
+def test_packing_bound_budget_matches_node_count():
+    # The (2, 3) family needs seven packing nodes to show m+1 = 2 disjoint
+    # copies; one node fewer leaves the vector unknown, never not-robust.
+    rng = random.Random(5)
+    H = KGraph(12, 3, [e for e in itertools.combinations(range(12), 3) if rng.random() < 0.25])
+    P = VertexPartition((tuple(range(6)), tuple(range(6, 12))))
+
+    def status(budget):
+        reps = robust_vectors(H, P, Fraction(1, 12), mode="packing-bound", budget=budget)
+        return reps[(2, 3)].status
+
+    assert status(7) == "robust"
+    assert status(6) == "unknown"
+    assert status(0) == "unknown"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tritile.exact
 from tritile.core import KGraph, complete_kgraph
 from tritile.constructions import extremal_construction, random_with_codegree
 from tritile.errors import BudgetExceeded, InvalidFamily
@@ -145,6 +146,21 @@ def test_rainbow_budget_raises_never_none():
     ones = tuple(KGraph(10, 3, [e]) for e in [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
     with pytest.raises(BudgetExceeded):
         rainbow_perfect_tiling(GraphFamily((full,) * 3 + ones), budget=2)
+
+
+def test_rainbow_looks_up_union_tiling_at_call_time(monkeypatch):
+    # Tracers wrap ``tritile.exact.perfect_tiling`` in place, so the rainbow
+    # search must reach the union's tiling through that attribute.
+    calls = []
+    inner = tritile.exact.perfect_tiling
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tritile.exact, "perfect_tiling", counting)
+    assert rainbow_perfect_tiling(GraphFamily((complete_kgraph(10, 3),) * 6)) is not None
+    assert len(calls) == 1
 
 
 def test_rainbow_hosts_without_distinct_edges_rule_out():
