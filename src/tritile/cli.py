@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -54,7 +55,7 @@ from .lattice import (
     reachable,
     robust_vectors,
 )
-from .rainbow import GraphFamily, rainbow_perfect_tiling
+from .rainbow import GraphFamily, RainbowTiling, rainbow_perfect_tiling
 
 
 class UsageError(Exception):
@@ -114,334 +115,191 @@ REPORT_SCHEMA = 1
 
 
 def _report(command: str, config: dict, *, verdict: str, anchor: str, **fields) -> dict:
-    rep = {
+    return {
         "tool": {"name": "tritile", "version": __version__},
         "schema": REPORT_SCHEMA,
         "command": command,
         "config": {k: v for k, v in sorted(config.items()) if v is not None},
         "verdict": verdict,
         "anchor": anchor,
+        **fields,
     }
-    rep.update(fields)
-    return rep
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    out = {}
-    for k, v in vars(args).items():
-        if k in skip:
-            continue
-        out[k] = v if isinstance(v, (int, str, bool, type(None))) else str(v)
-    return out
+    return {
+        k: v if isinstance(v, (int, str, bool, type(None))) else str(v)
+        for k, v in vars(args).items()
+    }
+
+
+def _exact_fields(rep) -> dict:
+    """A report dataclass as JSON fields, with its Fractions as "p/q" strings."""
+    fields = vars(rep).items()
+    return {k: frac_str(v) if isinstance(v, Fraction) else v for k, v in fields}
+
+
+def _found(witness, to_json=list) -> tuple[bool, dict]:
+    """Verdict and fields of a search that returns a witness or None."""
+    if witness is None:
+        return False, {}
+    return True, {"witness": to_json(witness)}
 
 
 # -- commands -----------------------------------------------------------------
+#
+# Each command returns (verdict, fields): the verdict is True (decided-yes),
+# False (decided-no) or "unknown-budget"; ``run`` wraps them in the report.
 
 
-def cmd_gen(args) -> dict:
+def cmd_gen(args) -> tuple:
+    # The sidecar's key order is the byte order of the written .meta.json.
     if args.kind == "extremal":
         inst = extremal_construction(args.k, args.n)
         H = inst.graph
-        sidecar = {
-            "kind": "extremal",
-            "A": list(inst.A),
-            "B": list(inst.B),
-            "n": args.n,
-            "k": args.k,
-        }
+        sidecar = dict(
+            kind="extremal", A=list(inst.A), B=list(inst.B), n=args.n, k=args.k
+        )
     elif args.kind == "random":
         if args.delta is None or args.seed is None:
             raise UsageError("gen random needs --delta and --seed")
         H = random_with_codegree(args.n, args.k, args.delta, args.seed, args.max_rounds)
-        sidecar = {
-            "kind": "random",
-            "n": args.n,
-            "k": args.k,
-            "delta": args.delta,
-            "seed": args.seed,
-        }
-    elif args.kind == "complete":
-        H = complete_kgraph(args.n, args.k)
-        sidecar = {"kind": "complete", "n": args.n, "k": args.k}
+        sidecar = dict(kind="random", n=args.n, k=args.k, delta=args.delta, seed=args.seed)
     else:
-        raise UsageError(f"unknown generator {args.kind!r}")
+        H = complete_kgraph(args.n, args.k)
+        sidecar = dict(kind="complete", n=args.n, k=args.k)
     text = format_kgraph(H)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         Path(str(args.output) + ".meta.json").write_text(
             json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
         )
-    return _report(
-        "gen",
-        _echo(args),
-        verdict="decided-yes",
-        anchor="instance-generation",
-        edges=H.edge_count(),
-        instance=None if args.output else text,
-        sidecar=sidecar,
+    return True, dict(
+        edges=H.edge_count(), instance=None if args.output else text, sidecar=sidecar
     )
 
 
-def cmd_info(args) -> dict:
+def cmd_info(args) -> tuple:
     H = load_kgraph(args.instance)
     value, witness = min_codegree(H)
-    return _report(
-        "info",
-        _echo(args),
-        verdict="decided-yes",
-        anchor="instance-summary",
-        n=H.n,
-        k=H.k,
-        edges=H.edge_count(),
-        min_codegree=value,
+    return True, dict(
+        n=H.n, k=H.k, edges=H.edge_count(), min_codegree=value,
         min_codegree_witness=list(witness),
         density=frac_str(density(H)) if H.n >= H.k else None,
     )
 
 
-def cmd_tile(args) -> dict:
+def cmd_tile(args) -> tuple:
     H = load_kgraph(args.instance)
     tiling, reason, certificate = _decide_perfect_tiling(
         H, budget=args.budget, use_lp=not args.no_lp
     )
-    if tiling is None:
-        extra = {} if certificate is None else {"certificate": certificate.to_json()}
-        return _report(
-            "tile",
-            _echo(args),
-            verdict="decided-no",
-            anchor="perfect-tiling-decision",
-            reason=reason,
-            **extra,
-        )
-    return _report(
-        "tile",
-        _echo(args),
-        verdict="decided-yes",
-        anchor="perfect-tiling-decision",
-        witness=tiling.to_json(),
-    )
+    if tiling is not None:
+        return True, {"witness": tiling.to_json()}
+    if certificate is None:
+        return False, {"reason": reason}
+    return False, {"reason": reason, "certificate": certificate.to_json()}
 
 
-def cmd_pack(args) -> dict:
-    H = load_kgraph(args.instance)
-    size, tiling = max_tiling(H, budget=args.budget)
-    return _report(
-        "pack",
-        _echo(args),
-        verdict="decided-yes",
-        anchor="maximum-tiling",
-        value=str(size),
-        witness=tiling.to_json(),
-    )
+def cmd_pack(args) -> tuple:
+    size, tiling = max_tiling(load_kgraph(args.instance), budget=args.budget)
+    return True, {"value": str(size), "witness": tiling.to_json()}
 
 
-def cmd_fractile(args) -> dict:
+def cmd_fractile(args) -> tuple:
+    r = perfect_fractional_tiling(load_kgraph(args.instance))
+    if isinstance(r, FractionalTiling):
+        return True, {"witness": r.to_json()}
+    return False, {"certificate": r.to_json()}
+
+
+def cmd_farkas(args) -> tuple:
     H = load_kgraph(args.instance)
     r = perfect_fractional_tiling(H)
     if isinstance(r, FractionalTiling):
-        return _report(
-            "fractile",
-            _echo(args),
-            verdict="decided-yes",
-            anchor="fractional-tiling",
-            witness=r.to_json(),
-        )
-    return _report(
-        "fractile",
-        _echo(args),
-        verdict="decided-no",
-        anchor="fractional-tiling",
-        certificate=r.to_json(),
-    )
+        return True, {"note": "fractionally feasible; no certificate exists"}
+    return False, {
+        "certificate": r.to_json(),
+        "certificate_valid": verify_certificate(H, r).valid,
+    }
 
 
-def cmd_farkas(args) -> dict:
-    H = load_kgraph(args.instance)
-    r = perfect_fractional_tiling(H)
+def cmd_minmax(args) -> tuple:
+    r = min_max_pair_weight(load_kgraph(args.instance))
     if isinstance(r, FarkasCertificate):
-        check = verify_certificate(H, r)
-        return _report(
-            "farkas",
-            _echo(args),
-            verdict="decided-no",
-            anchor="farkas-certificate",
-            certificate=r.to_json(),
-            certificate_valid=check.valid,
-        )
-    return _report(
-        "farkas",
-        _echo(args),
-        verdict="decided-yes",
-        anchor="farkas-certificate",
-        note="fractionally feasible; no certificate exists",
-    )
-
-
-def cmd_minmax(args) -> dict:
-    H = load_kgraph(args.instance)
-    r = min_max_pair_weight(H)
-    if isinstance(r, FarkasCertificate):
-        return _report(
-            "minmax",
-            _echo(args),
-            verdict="decided-no",
-            anchor="min-max-pair-weight",
-            certificate=r.to_json(),
-        )
+        return False, {"certificate": r.to_json()}
     w_star, tiling = r
-    return _report(
-        "minmax",
-        _echo(args),
-        verdict="decided-yes",
-        anchor="min-max-pair-weight",
-        value=frac_str(w_star),
-        witness=tiling.to_json(),
-    )
+    return True, {"value": frac_str(w_star), "witness": tiling.to_json()}
 
 
-def cmd_lattice(args) -> dict:
+def cmd_lattice(args) -> tuple:
     H = load_kgraph(args.instance)
     P = VertexPartition(parse_blocks(args.blocks))
     beta = parse_rational(args.beta)
     reports = robust_vectors(H, P, beta, mode=args.mode)
     vectors = [
-        {
-            "vector": list(vec),
-            "status": rep.status,
-            "value": rep.value,
-            "removable": rep.removable,
-        }
+        dict(vector=list(vec), status=rep.status, value=rep.value, removable=rep.removable)
         for vec, rep in sorted(reports.items())
     ]
     transferrals = []
-    for i in range(P.r):
-        for j in range(P.r):
-            if i == j:
-                continue
-            tr = _transferral(reports, P.r, i, j)
-            transferrals.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "found": tr.found,
-                    "combination": None
-                    if tr.combination is None
-                    else [[list(v), c] for v, c in sorted(tr.combination.items())],
-                }
-            )
-    verdict = "decided-yes" if any(t["found"] for t in transferrals) else "decided-no"
-    return _report(
-        "lattice",
-        _echo(args),
-        verdict=verdict,
-        anchor="robust-vectors-and-transferrals",
-        vectors=vectors,
-        transferrals=transferrals,
-    )
+    for i, j in itertools.permutations(range(P.r), 2):
+        tr = _transferral(reports, P.r, i, j)
+        combo = tr.combination
+        if combo is not None:
+            combo = [[list(v), c] for v, c in sorted(combo.items())]
+        transferrals.append(dict(i=i, j=j, found=tr.found, combination=combo))
+    found = any(t["found"] for t in transferrals)
+    return found, {"vectors": vectors, "transferrals": transferrals}
 
 
-def cmd_reach(args) -> dict:
+def cmd_reach(args) -> tuple:
     H = load_kgraph(args.instance)
     verdict = reachable(H, args.u, args.v, args.m, t=args.t, mode=args.mode)
-    mapped = {"yes": "decided-yes", "no": "decided-no", "unknown": "unknown-budget"}[
-        verdict
-    ]
-    return _report(
-        "reach",
-        _echo(args),
-        verdict=mapped,
-        anchor="reachability",
-    )
+    return {"yes": True, "no": False, "unknown": "unknown-budget"}[verdict], {}
 
 
-def cmd_absorb(args) -> dict:
+def cmd_absorb(args) -> tuple:
     H = load_kgraph(args.instance)
-    S = parse_vertices(args.set)
-    A = find_absorber(H, S, t=args.t)
-    if A is None:
-        return _report(
-            "absorb", _echo(args), verdict="decided-no", anchor="absorber-search"
-        )
-    return _report(
-        "absorb",
-        _echo(args),
-        verdict="decided-yes",
-        anchor="absorber-search",
-        witness=list(A),
-    )
+    return _found(find_absorber(H, parse_vertices(args.set), t=args.t))
 
 
-def cmd_connector(args) -> dict:
+def cmd_connector(args) -> tuple:
     H = load_kgraph(args.instance)
-    S = find_connector(H, args.u, args.v, t=args.t)
-    if S is None:
-        return _report(
-            "connector", _echo(args), verdict="decided-no", anchor="connector-search"
-        )
-    return _report(
-        "connector",
-        _echo(args),
-        verdict="decided-yes",
-        anchor="connector-search",
-        witness=list(S),
-    )
+    return _found(find_connector(H, args.u, args.v, t=args.t))
 
 
-def cmd_rainbow(args) -> dict:
+def cmd_rainbow(args) -> tuple:
     manifest = Path(args.manifest)
-    base = manifest.parent
     paths = [
         line.strip()
         for line in manifest.read_text(encoding="utf-8").splitlines()
         if line.strip() and not line.strip().startswith("#")
     ]
-    hosts = tuple(load_kgraph(base / p) for p in paths)
-    family = GraphFamily(hosts)
+    family = GraphFamily(tuple(load_kgraph(manifest.parent / p) for p in paths))
     rt = rainbow_perfect_tiling(family, budget=args.budget)
-    if rt is None:
-        return _report(
-            "rainbow", _echo(args), verdict="decided-no", anchor="rainbow-tiling"
-        )
-    return _report(
-        "rainbow",
-        _echo(args),
-        verdict="decided-yes",
-        anchor="rainbow-tiling",
-        witness=rt.to_json(),
-    )
+    return _found(rt, RainbowTiling.to_json)
 
 
-def cmd_pipeline(args) -> dict:
+def cmd_pipeline(args) -> tuple:
     H = load_kgraph(args.instance)
     gamma = parse_rational(args.gamma)
     gp = parse_rational(args.gamma_prime) if args.gamma_prime else None
     bt = parse_rational(args.beta) if args.beta else None
     res = extremal_pipeline(H, gamma, gamma_prime=gp, beta=bt, budget=args.budget)
-    return _report(
-        "pipeline",
-        _echo(args),
-        verdict="decided-yes" if res.succeeded else "decided-no",
-        anchor="extremal-pipeline",
-        stages=[s.to_json() for s in res.stages],
-        witness=res.tiling.to_json() if res.tiling else None,
-    )
+    return res.succeeded, {
+        "stages": [s.to_json() for s in res.stages],
+        "witness": res.tiling.to_json() if res.tiling else None,
+    }
 
 
-def cmd_dh_check(args) -> dict:
+def cmd_dh_check(args) -> tuple:
     J = load_kgraph(args.instance)
     fields: dict = {}
     verdicts = []
     if args.classes:
         classes = parse_blocks(args.classes)
         rep = dh_condition(J, classes)
-        fields["degree_condition"] = {
-            "satisfied": rep.satisfied,
-            "worst_vertex": rep.worst_vertex,
-            "worst_degree": rep.worst_degree,
-            "threshold": frac_str(rep.threshold),
-        }
+        fields["degree_condition"] = _exact_fields(rep)
         verdicts.append(rep.satisfied)
         if args.matching:
             m = kpartite_perfect_matching(J, classes, budget=args.budget)
@@ -450,61 +308,45 @@ def cmd_dh_check(args) -> dict:
     if args.a and args.b:
         beta = parse_rational(args.beta) if args.beta else Fraction(0)
         rep = corollary_check(J, parse_vertices(args.a), parse_vertices(args.b), beta)
-        fields["corollary"] = {
-            "satisfied": rep.satisfied,
-            "edge_count": rep.edge_count,
-            "edge_threshold": frac_str(rep.edge_threshold),
-            "worst_vertex": rep.worst_vertex,
-            "worst_degree": rep.worst_degree,
-            "vertex_threshold": frac_str(rep.vertex_threshold),
-        }
+        fields["corollary"] = _exact_fields(rep)
         verdicts.append(rep.satisfied)
     if not verdicts:
         raise UsageError("dh-check needs --classes and/or --a/--b")
-    return _report(
-        "dh-check",
-        _echo(args),
-        verdict="decided-yes" if all(verdicts) else "decided-no",
-        anchor="degree-threshold-check",
-        **fields,
-    )
+    return all(verdicts), fields
 
 
-def cmd_batch(args) -> dict:
+def _manifest_rows(path) -> list[dict]:
+    """One JSON object with a list of strings ``args`` per line; blank lines
+    and ``#`` comments are skipped."""
     rows = []
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line and not line.startswith("#"):
-                rows.append(json.loads(line))
+            if not line or line.startswith("#"):
+                continue
+            row = json.loads(line)
+            args = row.get("args") if isinstance(row, dict) else None
+            if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
+                raise UsageError(
+                    f"manifest line {number}: expected a JSON object with a list "
+                    "of strings 'args'"
+                )
+            rows.append(row)
+    return rows
 
+
+def cmd_batch(args) -> tuple:
     def run_row(row):
         start = time.perf_counter()
         try:
-            rep, code = run(row["args"])
-            ms = int((time.perf_counter() - start) * 1000)
-            value = rep.get("value", "")
-            return {
-                "id": row.get("id", ""),
-                "command": rep.get("command", row["args"][0] if row["args"] else ""),
-                "verdict": rep.get("verdict", "error"),
-                "value": value if value is not None else "",
-                "witness_path": row.get("output", ""),
-                "ms": ms,
-                "_report": rep,
-            }
+            rep, _ = run(row["args"])
+            value, path = rep.get("value", ""), row.get("output", "")
+            cells = [rep["command"], rep["verdict"], value, path]
         except Exception as exc:  # a failing row must not abort the batch
-            ms = int((time.perf_counter() - start) * 1000)
-            return {
-                "id": row.get("id", ""),
-                "command": row["args"][0] if row.get("args") else "",
-                "verdict": "error",
-                "value": str(exc),
-                "witness_path": "",
-                "ms": ms,
-                "_report": None,
-            }
+            cells = [row["args"][0] if row["args"] else "", "error", str(exc), ""]
+        return [row.get("id", ""), *cells, int((time.perf_counter() - start) * 1000)]
 
+    rows = _manifest_rows(args.manifest)
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(run_row, rows))
@@ -514,112 +356,102 @@ def cmd_batch(args) -> dict:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["id", "command", "verdict", "value", "witness_path", "ms"])
-    for r in results:
-        writer.writerow(
-            [r["id"], r["command"], r["verdict"], r["value"], r["witness_path"], r["ms"]]
-        )
+    writer.writerows(results)
     csv_text = buf.getvalue()
     if args.output:
         Path(args.output).write_text(csv_text, encoding="utf-8")
-    return _report(
-        "batch",
-        _echo(args),
-        verdict="decided-yes",
-        anchor="batch-runner",
-        rows=len(results),
-        csv=None if args.output else csv_text,
-    )
+    return True, {"rows": len(results), "csv": None if args.output else csv_text}
 
 
-# -- parser ---------------------------------------------------------------------
+# -- command table ----------------------------------------------------------------
+#
+# name -> (command, report anchor, help line, argument specs).  A spec is a
+# positional name, ``"budget"`` (``--budget`` defaulting to TRITILE_BUDGET),
+# or a tuple of option strings followed by add_argument keywords.
+
+_U = ("--u", {"type": int, "required": True})
+_V = ("--v", {"type": int, "required": True})
+_T = ("--t", {"type": int, "default": 1})
+_OUTPUT = ("-o", "--output", {})
+
+COMMANDS = {
+    "gen": (cmd_gen, "instance-generation", "generate an instance", [
+        ("kind", {"choices": ["extremal", "random", "complete"]}),
+        ("--n", {"type": int, "required": True}),
+        ("--k", {"type": int, "required": True}),
+        ("--delta", {"type": int}),
+        ("--seed", {"type": int}),
+        ("--max-rounds", {"type": int, "default": 4}),
+        _OUTPUT,
+    ]),
+    "info": (cmd_info, "instance-summary", "summarize an instance", ["instance"]),
+    "tile": (cmd_tile, "perfect-tiling-decision", "tile an instance", [
+        "instance", "budget", ("--no-lp", {"action": "store_true"}),
+    ]),
+    "pack": (cmd_pack, "maximum-tiling", "pack an instance", ["instance", "budget"]),
+    "fractile": (cmd_fractile, "fractional-tiling", "fractile fractional analysis", [
+        "instance",
+    ]),
+    "farkas": (cmd_farkas, "farkas-certificate", "farkas fractional analysis", [
+        "instance",
+    ]),
+    "minmax": (cmd_minmax, "min-max-pair-weight", "minmax fractional analysis", [
+        "instance",
+    ]),
+    "lattice": (cmd_lattice, "robust-vectors-and-transferrals",
+                "robust vectors and transferrals", [
+        "instance",
+        ("--blocks", {"required": True, "help": 'e.g. "0-5;6-11"'}),
+        ("--beta", {"required": True, "help": "rational p/q"}),
+        ("--mode", {"choices": ["exact", "packing-bound"], "default": "exact"}),
+    ]),
+    "reach": (cmd_reach, "reachability", "reachability of two vertices", [
+        "instance", _U, _V,
+        ("--m", {"type": int, "required": True}),
+        _T,
+        ("--mode", {"choices": ["certificate", "exact"], "default": "certificate"}),
+    ]),
+    "connector": (cmd_connector, "connector-search", "find a connector", [
+        "instance", _U, _V, _T,
+    ]),
+    "absorb": (cmd_absorb, "absorber-search", "find an absorber", [
+        "instance", ("--set", {"required": True, "help": 'e.g. "0,1,2,3,4"'}), _T,
+    ]),
+    "rainbow": (cmd_rainbow, "rainbow-tiling", "rainbow tiling over a family manifest", [
+        "manifest", "budget",
+    ]),
+    "pipeline": (cmd_pipeline, "extremal-pipeline", "extremal-case pipeline", [
+        "instance", ("--gamma", {"required": True}), "--gamma-prime", "--beta", "budget",
+    ]),
+    "dh-check": (cmd_dh_check, "degree-threshold-check", "degree-threshold checks", [
+        "instance",
+        ("--classes", {"help": 'e.g. "0,1,2;3,4,5"'}),
+        ("--matching", {"action": "store_true"}),
+        "--a", "--b", "--beta", "budget",
+    ]),
+    "batch": (cmd_batch, "batch-runner", "run a manifest of commands", [
+        "manifest", ("--workers", {"type": int, "default": 1}), _OUTPUT,
+    ]),
+}
+
+
+# -- parser and runner ----------------------------------------------------------
 
 
 def build_parser() -> _Parser:
     budget = _env_budget()
     p = _Parser(prog="tritile", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        sp.set_defaults(func=fn)
-        return sp
-
-    sp = add("gen", cmd_gen, help="generate an instance")
-    sp.add_argument("kind", choices=["extremal", "random", "complete"])
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--delta", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--max-rounds", type=int, default=4)
-    sp.add_argument("-o", "--output")
-
-    sp = add("info", cmd_info, help="summarize an instance")
-    sp.add_argument("instance")
-
-    for name, fn, extra in [
-        ("tile", cmd_tile, True),
-        ("pack", cmd_pack, False),
-    ]:
-        sp = add(name, fn, help=f"{name} an instance")
-        sp.add_argument("instance")
-        sp.add_argument("--budget", type=int, default=budget)
-        if extra:
-            sp.add_argument("--no-lp", action="store_true")
-
-    for name, fn in [("fractile", cmd_fractile), ("farkas", cmd_farkas), ("minmax", cmd_minmax)]:
-        sp = add(name, fn, help=f"{name} fractional analysis")
-        sp.add_argument("instance")
-
-    sp = add("lattice", cmd_lattice, help="robust vectors and transferrals")
-    sp.add_argument("instance")
-    sp.add_argument("--blocks", required=True, help='e.g. "0-5;6-11"')
-    sp.add_argument("--beta", required=True, help="rational p/q")
-    sp.add_argument("--mode", choices=["exact", "packing-bound"], default="exact")
-
-    sp = add("reach", cmd_reach, help="reachability of two vertices")
-    sp.add_argument("instance")
-    sp.add_argument("--u", type=int, required=True)
-    sp.add_argument("--v", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--t", type=int, default=1)
-    sp.add_argument("--mode", choices=["certificate", "exact"], default="certificate")
-
-    sp = add("connector", cmd_connector, help="find a connector")
-    sp.add_argument("instance")
-    sp.add_argument("--u", type=int, required=True)
-    sp.add_argument("--v", type=int, required=True)
-    sp.add_argument("--t", type=int, default=1)
-
-    sp = add("absorb", cmd_absorb, help="find an absorber")
-    sp.add_argument("instance")
-    sp.add_argument("--set", required=True, help='e.g. "0,1,2,3,4"')
-    sp.add_argument("--t", type=int, default=1)
-
-    sp = add("rainbow", cmd_rainbow, help="rainbow tiling over a family manifest")
-    sp.add_argument("manifest")
-    sp.add_argument("--budget", type=int, default=budget)
-
-    sp = add("pipeline", cmd_pipeline, help="extremal-case pipeline")
-    sp.add_argument("instance")
-    sp.add_argument("--gamma", required=True)
-    sp.add_argument("--gamma-prime")
-    sp.add_argument("--beta")
-    sp.add_argument("--budget", type=int, default=budget)
-
-    sp = add("dh-check", cmd_dh_check, help="degree-threshold checks")
-    sp.add_argument("instance")
-    sp.add_argument("--classes", help='e.g. "0,1,2;3,4,5"')
-    sp.add_argument("--matching", action="store_true")
-    sp.add_argument("--a")
-    sp.add_argument("--b")
-    sp.add_argument("--beta")
-    sp.add_argument("--budget", type=int, default=budget)
-
-    sp = add("batch", cmd_batch, help="run a manifest of commands")
-    sp.add_argument("manifest")
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("-o", "--output")
-
+    for name, (_fn, _anchor, help_, specs) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for spec in specs:
+            if spec == "budget":
+                sp.add_argument("--budget", type=int, default=budget)
+            elif isinstance(spec, str):
+                sp.add_argument(spec)
+            else:
+                *flags, kwargs = spec
+                sp.add_argument(*flags, **kwargs)
     return p
 
 
@@ -627,9 +459,14 @@ def run(argv) -> tuple[dict, int]:
     """Parse and execute; returns (report, exit_code)."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    fn, anchor = COMMANDS[args.command][:2]
     start = time.perf_counter()
     try:
-        report = args.func(args)
+        verdict, fields = fn(args)
+        verdict = {True: "decided-yes", False: "decided-no"}.get(verdict, verdict)
+        report = _report(
+            args.command, _echo(args), verdict=verdict, anchor=anchor, **fields
+        )
         code = 0
     except BudgetExceeded as exc:
         report = _report(

@@ -357,6 +357,18 @@ def _avoiding_sets(sets: SetList, B: KGraph) -> SetList:
     return out
 
 
+def _basis_tiling(n: int, sets: SetList, basis, xb) -> FractionalTiling:
+    """The weights a basic solution puts on the supporting-set columns, which
+    come first (column id = index into ``sets``)."""
+    m = len(sets)
+    weights: dict[TriangleCopy, Fraction] = {}
+    for col_id, x in zip(basis, xb):
+        if col_id < m and x != 0:
+            witness = sets[col_id][1]
+            weights[witness] = weights.get(witness, _ZERO) + x
+    return FractionalTiling(n, weights)
+
+
 # -- operations --------------------------------------------------------------
 
 
@@ -387,12 +399,7 @@ def perfect_fractional_tiling(
         pivot_cap=pivot_cap,
     )
     if obj == 0:
-        weights: dict[TriangleCopy, Fraction] = {}
-        for i, col_id in enumerate(basis):
-            if col_id < m and xb[i] != 0:
-                witness = sets[col_id][1]
-                weights[witness] = weights.get(witness, _ZERO) + xb[i]
-        return FractionalTiling(n, weights)
+        return _basis_tiling(n, sets, basis, xb)
     coeffs = _scale_to_integers([-v for v in y])
     cert = FarkasCertificate(coeffs)
     check = verify_certificate(H, cert, sets=sets)
@@ -468,12 +475,7 @@ def packing_lp_value(
         minimize=False,
         pivot_cap=pivot_cap,
     )
-    weights: dict[TriangleCopy, Fraction] = {}
-    for i, col_id in enumerate(basis):
-        if col_id < m and xb[i] != 0:
-            witness = sets[col_id][1]
-            weights[witness] = weights.get(witness, _ZERO) + xb[i]
-    return obj, FractionalTiling(n, weights)
+    return obj, _basis_tiling(n, sets, basis, xb)
 
 
 def min_max_pair_weight(
@@ -550,14 +552,10 @@ def min_max_pair_weight(
         pivot_cap=pivot_cap,
         binv=binv,
     )
-    weights: dict[TriangleCopy, Fraction] = {}
     w_star = _ZERO
-    for i, col_id in enumerate(basis):
-        if col_id < m and xb[i] != 0:
-            witness = sets[col_id][1]
-            weights[witness] = weights.get(witness, _ZERO) + xb[i]
-        elif col_id == w_col:
-            w_star = xb[i]
-        elif col_id in art and xb[i] != 0:
+    for col_id, x in zip(basis, xb):
+        if col_id == w_col:
+            w_star = x
+        elif col_id in art and x != 0:
             raise ArithmeticError("internal: artificial drifted positive in phase 2")
-    return w_star, FractionalTiling(n, weights)
+    return w_star, _basis_tiling(n, sets, basis, xb)

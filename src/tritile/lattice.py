@@ -239,9 +239,12 @@ def robust_vectors(
     every copy with that vector, i.e. the family's transversal number exceeds
     floor(beta n).  Exact mode decides that by bounded hitting-set search;
     packing-bound mode certifies robustness from floor(beta n)+1 disjoint
-    copies and answers unknown otherwise.
+    copies and answers unknown otherwise.  beta must be nonnegative.
     """
-    m = int(Fraction(beta) * H.n)
+    beta = Fraction(beta)
+    if beta < 0:
+        raise InvalidDimension("beta must be nonnegative")
+    m = int(beta * H.n)
     sets = supporting_sets(H, cap=cap)
     block_masks = [_mask(b) for b in P.blocks]
     n = P.n
@@ -358,6 +361,25 @@ def _check_range(H: KGraph, vs: Sequence[int]) -> None:
         raise InvalidVertex(f"{tuple(vs)} leaves the vertex range 0..{H.n - 1}")
 
 
+def _connectors(H: KGraph, u: int, v: int, t: int, blocked: set, budget: int):
+    """Every set S with both S+{u} and S+{v} perfectly tilable, smallest
+    first: |S| = (2k-1)q - 1 for q = 1..t, S avoids ``blocked``.  Raises
+    BudgetExceeded once more than ``budget`` candidates have been tried."""
+    s = 2 * H.k - 1
+    pool = [w for w in range(H.n) if w not in blocked]
+    tried = 0
+    for q in range(1, t + 1):
+        size = q * s - 1
+        if size > len(pool):
+            break
+        for S in itertools.combinations(pool, size):
+            tried += 1
+            if tried > budget:
+                raise BudgetExceeded(f"connector search exceeded {budget} candidates")
+            if perfectly_tilable(H, S + (u,)) and perfectly_tilable(H, S + (v,)):
+                yield S
+
+
 def find_connector(
     H: KGraph,
     u: int,
@@ -372,21 +394,7 @@ def find_connector(
     if u == v:
         raise InvalidVertex("connector endpoints must differ")
     _check_range(H, sorted((u, v)))
-    s = 2 * H.k - 1
-    blocked = set(forbidden) | {u, v}
-    pool = [w for w in range(H.n) if w not in blocked]
-    tried = 0
-    for q in range(1, t + 1):
-        size = q * s - 1
-        if size > len(pool):
-            break
-        for S in itertools.combinations(pool, size):
-            tried += 1
-            if tried > budget:
-                raise BudgetExceeded(f"connector search exceeded {budget} candidates")
-            if perfectly_tilable(H, S + (u,)) and perfectly_tilable(H, S + (v,)):
-                return S
-    return None
+    return next(_connectors(H, u, v, t, set(forbidden) | {u, v}, budget), None)
 
 
 def reachable(
@@ -425,23 +433,9 @@ def reachable(
             found += 1
         return YES
     if mode == "exact":
-        s = 2 * H.k - 1
-        pool = [w for w in range(H.n) if w not in (u, v)]
-        family = []
-        tried = 0
-        for q in range(1, t + 1):
-            size = q * s - 1
-            if size > len(pool):
-                break
-            for S in itertools.combinations(pool, size):
-                tried += 1
-                if tried > budget:
-                    return UNKNOWN
-                if perfectly_tilable(H, S + (u,)) and perfectly_tilable(H, S + (v,)):
-                    family.append(_mask(S))
-        if not family:
-            return NO
         try:
+            family = [_mask(S) for S in _connectors(H, u, v, t, {u, v}, budget)]
+            # an empty family is hit by the empty set: NO
             hit = _min_hit_decision(family, m, budget)
         except BudgetExceeded:
             return UNKNOWN

@@ -126,6 +126,22 @@ def test_robust_vectors_partition_must_cover_the_sets():
         robust_vectors(complete_kgraph(6, 3), P, Fraction(1, 6))
 
 
+@pytest.mark.parametrize("mode", ["exact", "packing-bound"])
+def test_negative_beta_is_rejected(mode):
+    # No set W of negative size exists, so a negative beta has no meaning;
+    # it used to give removable = floor(beta n) < 0 and "not-robust" vectors.
+    from tritile.errors import InvalidDimension
+
+    K = complete_kgraph(10, 3)
+    P = VertexPartition((tuple(range(5)), tuple(range(5, 10))))
+    with pytest.raises(InvalidDimension, match="beta must be nonnegative"):
+        robust_vectors(K, P, Fraction(-1, 2), mode=mode)
+    with pytest.raises(InvalidDimension, match="beta must be nonnegative"):
+        has_transferral(K, P, Fraction(-1, 2), 0, 1, mode=mode)
+    reports = robust_vectors(K, P, Fraction(0), mode=mode)
+    assert {rep.removable for rep in reports.values()} == {0}
+
+
 def test_robust_vectors_match_forall_oracle():
     for seed in range(6):
         H = random_with_codegree(8, 3, 2 + seed % 2, seed=seed + 50)
