@@ -15,6 +15,7 @@ from tritile.constructions import extremal_construction, random_with_codegree
 from tritile.core import KGraph, complete_kgraph
 from tritile.fractional import (
     FarkasCertificate,
+    b_avoiding_fractional_tiling,
     frac_str,
     min_max_pair_weight,
     packing_lp_value,
@@ -37,6 +38,7 @@ HOSTS = {
     "rand(10,3,1,s2)": lambda: random_with_codegree(10, 3, 1, seed=2),
     "rand(11,3,3,s7)": lambda: random_with_codegree(11, 3, 3, seed=7),
     "rand(8,3,0,s1)": lambda: random_with_codegree(8, 3, 0, seed=1),
+    "ext(3,20)~": lambda: _relabelled(extremal_construction(3, 20).graph),
 }
 
 
@@ -83,12 +85,30 @@ PINS = {
     ("rand(8,3,0,s1)", "fractional"): "49512ceab25f58534331cbd6a10087054b72e2f1f34586950450e52d3b7ebfbb",
     ("rand(8,3,0,s1)", "packing"): "8cdf6e1fb23f7644e37c1c381796a77302c788899e9fcd77544dea8fd0c4e1b7",
     ("rand(8,3,0,s1)", "minmax"): "49512ceab25f58534331cbd6a10087054b72e2f1f34586950450e52d3b7ebfbb",
+    # 9 212 set columns with many equal reduced costs: ties decide pivots.
+    ("ext(3,20)~", "fractional"): "acaaa0d653386bfbf1f608f5597e2f6bc00d5f3a527fdfafdbb71cd4a997ccae",
+    ("ext(3,20)~", "packing"): "c11b934f3313b6773b2d51292ef2527b6c29b8a3a629914264ec3ccc601fa92f",
 }
 
 
 @pytest.mark.parametrize("host,op", sorted(PINS))
 def test_lp_answer_bytes_are_pinned(host, op):
     assert _digest(OPERATIONS[op](HOSTS[host]())) == PINS[(host, op)]
+
+
+# B-avoiding programs price a filtered subset of the host's sets: 250 of 502
+# with four pairs in B (a tiling), 75 with ten (a certificate).
+AVOIDING_PINS = {
+    ((0, 4), (4, 6), (6, 11), (7, 8)): "689e5dd828a4a20bcca5c8039332d70c313928b3559017fa8e0040775a5cd78b",
+    ((0, 4), (1, 9), (2, 4), (2, 8), (3, 9), (4, 6), (4, 8), (5, 7), (6, 11), (7, 8)): "9aa440ecd2b6ed7394f8f39dd31620e6886a49422c14e34052603dea5c2a3f1b",
+}
+
+
+@pytest.mark.parametrize("pairs", sorted(AVOIDING_PINS))
+def test_b_avoiding_answer_bytes_are_pinned(pairs):
+    H = random_with_codegree(12, 3, 3, seed=0)
+    answer = b_avoiding_fractional_tiling(H, KGraph(12, 2, pairs))
+    assert _digest(answer) == AVOIDING_PINS[pairs]
 
 
 def test_pins_cover_both_verdicts():
