@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
+from operator import add
 from typing import Optional, Sequence
 
 from .core import KGraph
@@ -109,12 +111,16 @@ def frac_str(q) -> str:
 
 # -- revised simplex core ---------------------------------------------------
 #
-# Standard form: rows indexed 0..nrows-1, columns with integer coefficients
-# and integer costs, initial basis an identity of slack/artificial columns.
-# Entering rule: most negative reduced cost, ties to the lowest column id.
-# Leaving rule: lexicographic ratio test against a fresh identity reference,
-# which is anti-cycling and deterministic and copes with the massive
-# degeneracy of the min-max programs (Bland stalls there).
+# Standard form: rows indexed 0..nrows-1, initial basis an identity of
+# slack/artificial columns.  Columns 0..m-1 are one block of supporting-set
+# columns, each a tuple of rows with unit coefficients and one shared cost;
+# the few other columns (slacks, artificials, W) follow, each with one
+# scalar coefficient on its rows.  Entering rule: most negative reduced
+# cost, ties to the lowest column id.  Leaving rule: lexicographic ratio
+# test against a fresh identity reference, which is anti-cycling and
+# deterministic and copes with the massive degeneracy of the min-max
+# programs (Bland stalls there).  The duals y = c_B B^-1 are computed once
+# per solve and carried across pivots.
 
 
 def _identity(n: int) -> list[list[Fraction]]:
@@ -122,19 +128,40 @@ def _identity(n: int) -> list[list[Fraction]]:
 
 
 class _Column:
-    __slots__ = ("rows", "coefs", "cost")
+    __slots__ = ("rows", "coef", "cost")
 
-    def __init__(self, rows, coefs, cost):
+    def __init__(self, rows, coef, cost):
         self.rows = tuple(rows)
-        self.coefs = tuple(coefs)
-        self.cost = int(cost)
+        self.coef = coef
+        self.cost = cost
 
 
 class _Simplex:
-    def __init__(self, nrows: int, columns: list[_Column], b: Sequence[Fraction]):
+    def __init__(
+        self,
+        nrows: int,
+        block: list[tuple[int, ...]],
+        block_cost: int,
+        others: list[_Column],
+        b: Sequence[Fraction],
+    ):
         self.nrows = nrows
-        self.columns = columns
+        self.block = block
+        self.block_cost = block_cost
+        # positions[p][j] is the p-th row of block column j: every block
+        # column has the same number of rows, so the block prices as one
+        # lazy pass of sums, position by position.
+        self.positions = list(zip(*block))
+        self.others = others
         self.b = [Fraction(x) for x in b]
+
+    def _col(self, j):
+        """(rows, coefficient, cost) of column j."""
+        m = len(self.block)
+        if j < m:
+            return self.block[j], 1, self.block_cost
+        col = self.others[j - m]
+        return col.rows, col.coef, col.cost
 
     def solve(
         self,
@@ -148,11 +175,13 @@ class _Simplex:
     ):
         """Primal simplex from the given basis.
 
-        Returns (objective, basis, binv, xb, y).  ``banned`` columns never
-        enter (used to freeze artificials after phase 1).
+        Returns (objective, basis, binv, xb, y).  ``banned`` columns, which
+        must lie outside the block, never enter (used to freeze artificials
+        after phase 1).
         """
         n = self.nrows
-        cols = self.columns
+        positions, block_cost = self.positions, self.block_cost
+        m = len(self.block)
         # Lexicographic reference: rows (xb_i | Q_i) with Q starting at
         # identity are lex-positive and stay so under the lex ratio rule.  Q
         # receives exactly the row operations of B^-1, so a cold solve
@@ -168,40 +197,45 @@ class _Simplex:
             mats = (binv, _identity(n))
         Q = mats[-1]
         basis = list(basis)
-        banned = set(banned)
+        others = [
+            (m + idx, col.rows, col.coef, col.cost)
+            for idx, col in enumerate(self.others)
+            if m + idx not in banned
+        ]
+        y = self._multipliers(basis, binv)
+        obj = sum(
+            (self._col(j)[2] * x for j, x in zip(basis, xb) if x), start=_ZERO
+        )
 
         for _pivot in range(pivot_cap):
-            obj = sum(
-                (cols[basis[i]].cost * xb[i] for i in range(n) if cols[basis[i]].cost),
-                start=_ZERO,
-            )
             if stop_at_zero and obj == 0:
-                return obj, basis, binv, xb, self._multipliers(basis, binv)
+                return obj, basis, binv, xb, y
 
-            y = self._multipliers(basis, binv)
+            # Reduced costs scaled by the duals' common denominator: a basic
+            # column prices to exactly 0, so it never enters.
             scale = lcm(*(q.denominator for q in y)) if n else 1
-            yi = [int(q * scale) for q in y]
-            in_basis = set(basis)
+            yi = [q.numerator * (scale // q.denominator) for q in y]
             entering = -1
             best_t = 0
-            for j, col in enumerate(cols):
-                if j in in_basis or j in banned:
-                    continue
-                num = 0
-                for r, c in zip(col.rows, col.coefs):
-                    num += yi[r] * c
-                # reduced cost rc_j = cost_j - num/scale; t = rc_j * scale
-                t = col.cost * scale - num
-                if minimize:
-                    if t < best_t:
-                        best_t, entering = t, j
-                else:
-                    if t > best_t:
-                        best_t, entering = t, j
+            if m:
+                get = yi.__getitem__
+                acc = map(get, positions[0])
+                for at in positions[1:]:
+                    acc = map(add, acc, map(get, at))
+                sums = list(acc)
+                pick = max(sums) if minimize else min(sums)
+                t = block_cost * scale - pick
+                if (t < 0) if minimize else (t > 0):
+                    best_t, entering = t, sums.index(pick)
+            for j, rows, coef, cost in others:
+                t = cost * scale - coef * sum(map(yi.__getitem__, rows))
+                if (t < best_t) if minimize else (t > best_t):
+                    best_t, entering = t, j
             if entering < 0:
                 return obj, basis, binv, xb, y
 
-            d = self._column(binv, cols[entering])
+            rows, coef, _cost = self._col(entering)
+            d = self._column(binv, rows, coef)
             leave = -1
             for i in range(n):
                 if d[i] <= 0:
@@ -212,6 +246,13 @@ class _Simplex:
                 raise ArithmeticError("unbounded direction in simplex")
             self._pivot(mats, xb, leave, d)
             basis[leave] = entering
+            # The objective moves by rc times the entering value, and
+            # y' = y + rc * (new pivot row of B^-1).
+            rc = Fraction(best_t, scale)
+            obj += rc * xb[leave]
+            for r, v in enumerate(binv[leave]):
+                if v:
+                    y[r] += rc * v
         raise BudgetExceeded(f"simplex pivot cap {pivot_cap} exceeded")
 
     @staticmethod
@@ -233,7 +274,8 @@ class _Simplex:
     def repair_basis(self, basis, binv, unwanted: set, allowed: list):
         """Pivot zero-valued ``unwanted`` basic columns out wherever some
         ``allowed`` column crosses their row; rows with no crossing are inert
-        (no entering column can ever move them) and are left in place."""
+        (no entering column can ever move them) and are left in place.  A
+        basic column never crosses another basic column's row."""
         n = self.nrows
         xb = self._basic_values(binv)
         for i in range(n):
@@ -241,16 +283,12 @@ class _Simplex:
                 continue
             if xb[i] != 0:
                 raise ArithmeticError("repair expects zero-valued unwanted basics")
-            in_basis = set(basis)
             row = binv[i]
             for j in allowed:
-                if j in in_basis:
+                rows, coef, _cost = self._col(j)
+                if sum((row[r] for r in rows), start=_ZERO) == 0:
                     continue
-                col = self.columns[j]
-                dij = sum((c * row[r] for r, c in zip(col.rows, col.coefs)), start=_ZERO)
-                if dij == 0:
-                    continue
-                d = self._column(binv, col)
+                d = self._column(binv, rows, coef)
                 # theta = xb[i]/d[i] = 0: basis swap leaves the solution as is
                 self._pivot((binv,), xb, i, d)
                 basis[i] = j
@@ -258,16 +296,17 @@ class _Simplex:
         return basis, binv
 
     @staticmethod
-    def _column(binv, col):
-        """d = B^-1 a for the column a, with exact Fraction entries."""
+    def _column(binv, rows, coef):
+        """d = B^-1 a for the column a with ``coef`` on ``rows``, exactly."""
         n = len(binv)
         d = [_ZERO] * n
-        for r, c in zip(col.rows, col.coefs):
-            if c:
-                for i in range(n):
-                    v = binv[i][r]
-                    if v:
-                        d[i] += c * v
+        for r in rows:
+            for i in range(n):
+                v = binv[i][r]
+                if v:
+                    d[i] += v
+        if coef != 1:
+            d = [coef * x for x in d]
         return d
 
     @staticmethod
@@ -293,10 +332,11 @@ class _Simplex:
             xb[i] -= f * xl
 
     def _multipliers(self, basis, binv):
+        """y = c_B B^-1, from scratch."""
         n = self.nrows
         y = [_ZERO] * n
         for i in range(n):
-            c = self.columns[basis[i]].cost
+            c = self._col(basis[i])[2]
             if c:
                 row = binv[i]
                 for r in range(n):
@@ -326,10 +366,6 @@ def _sets(H: KGraph, sets, cap) -> SetList:
     if sets is None:
         sets = supporting_sets(H, cap=cap)
     return sets
-
-
-def _set_columns(sets: SetList, cost) -> list[_Column]:
-    return [_Column(vs, (1,) * len(vs), cost) for vs, _ in sets]
 
 
 def _scale_to_integers(values: Sequence[Fraction]) -> tuple[int, ...]:
@@ -387,13 +423,10 @@ def perfect_fractional_tiling(
     sets = _sets(H, sets, cap)
     n = H.n
     m = len(sets)
-    cols = _set_columns(sets, 0)
-    art0 = m
-    for r in range(n):
-        cols.append(_Column((r,), (1,), 1))
-    sx = _Simplex(n, cols, [_ONE] * n)
+    artificials = [_Column((r,), 1, 1) for r in range(n)]
+    sx = _Simplex(n, [vs for vs, _ in sets], 0, artificials, [_ONE] * n)
     obj, basis, _binv, xb, y = sx.solve(
-        basis=list(range(art0, art0 + n)),
+        basis=list(range(m, m + n)),
         minimize=True,
         stop_at_zero=True,
         pivot_cap=pivot_cap,
@@ -466,10 +499,8 @@ def packing_lp_value(
     sets = _sets(H, sets, cap)
     n = H.n
     m = len(sets)
-    cols = _set_columns(sets, 1)
-    for r in range(n):
-        cols.append(_Column((r,), (1,), 0))  # slack
-    sx = _Simplex(n, cols, [_ONE] * n)
+    slacks = [_Column((r,), 1, 0) for r in range(n)]
+    sx = _Simplex(n, [vs for vs, _ in sets], 1, slacks, [_ONE] * n)
     obj, basis, _binv, xb, _y = sx.solve(
         basis=list(range(m, m + n)),
         minimize=False,
@@ -496,37 +527,20 @@ def min_max_pair_weight(
 
     n = H.n
     m = len(sets)
-    pairs = sorted(
-        {
-            (vs[i], vs[j])
-            for vs, _ in sets
-            for i in range(len(vs))
-            for j in range(i + 1, len(vs))
-        }
-    )
+    pairs = sorted({p for vs, _ in sets for p in combinations(vs, 2)})
     pair_row = {p: n + idx for idx, p in enumerate(pairs)}
     nrows = n + len(pairs)
 
-    cols: list[_Column] = []
-    for vs, _ in sets:
-        rows = list(vs)
-        coefs = [1] * len(vs)
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                rows.append(pair_row[(vs[i], vs[j])])
-                coefs.append(1)
-        cols.append(_Column(rows, coefs, 0))
+    block = [vs + tuple(pair_row[p] for p in combinations(vs, 2)) for vs, _ in sets]
     w_col = m
-    cols.append(_Column(tuple(range(n, nrows)), (-1,) * len(pairs), 0))
+    others = [_Column(range(n, nrows), -1, 0)]
     slack0 = m + 1
-    for idx in range(len(pairs)):
-        cols.append(_Column((n + idx,), (1,), 0))
+    others += [_Column((n + idx,), 1, 0) for idx in range(len(pairs))]
     art0 = slack0 + len(pairs)
-    for r in range(n):
-        cols.append(_Column((r,), (1,), 1))
+    others += [_Column((r,), 1, 1) for r in range(n)]
 
     b = [_ONE] * n + [_ZERO] * len(pairs)
-    sx = _Simplex(nrows, cols, b)
+    sx = _Simplex(nrows, block, 0, others, b)
     basis = list(range(art0, art0 + n)) + list(range(slack0, slack0 + len(pairs)))
     art = set(range(art0, art0 + n))
     obj, basis, binv, xb, _y = sx.solve(
@@ -542,9 +556,9 @@ def min_max_pair_weight(
     # they cannot leave are inert), then ban them from entering, so the
     # program explored is exactly the perfect-tiling polytope.
     basis, binv = sx.repair_basis(basis, binv, art, list(range(art0)))
-    for c in cols:
-        c.cost = 0
-    cols[w_col].cost = 1
+    for col in others:
+        col.cost = 0
+    others[0].cost = 1  # W
     _obj2, basis, binv, xb, _y = sx.solve(
         basis=basis,
         banned=art,
