@@ -149,7 +149,8 @@ def _found(witness, to_json=list) -> tuple[bool, dict]:
 # -- commands -----------------------------------------------------------------
 #
 # Each command returns (verdict, fields): the verdict is True (decided-yes),
-# False (decided-no) or "unknown-budget"; ``run`` wraps them in the report.
+# False (decided-no) or, from ``reach`` only, "unknown"; ``run`` wraps them in
+# the report.
 
 
 def cmd_gen(args) -> tuple:
@@ -255,7 +256,7 @@ def cmd_lattice(args) -> tuple:
 def cmd_reach(args) -> tuple:
     H = load_kgraph(args.instance)
     verdict = reachable(H, args.u, args.v, args.m, t=args.t, mode=args.mode)
-    return {"yes": True, "no": False, "unknown": "unknown-budget"}[verdict], {}
+    return {"yes": True, "no": False, "unknown": "unknown"}[verdict], {}
 
 
 def cmd_absorb(args) -> tuple:
@@ -342,8 +343,11 @@ def cmd_batch(args) -> tuple:
             rep, _ = run(row["args"])
             value, path = rep.get("value", ""), row.get("output", "")
             cells = [rep["command"], rep["verdict"], value, path]
-        except Exception as exc:  # a failing row must not abort the batch
-            cells = [row["args"][0] if row["args"] else "", "error", str(exc), ""]
+        # A failing row must not abort the batch, nor may a row whose
+        # arguments make argparse exit (``--help``).
+        except (Exception, SystemExit) as exc:
+            reason = f"exit {exc.code}" if isinstance(exc, SystemExit) else str(exc)
+            cells = [row["args"][0] if row["args"] else "", "error", reason, ""]
         return [row.get("id", ""), *cells, int((time.perf_counter() - start) * 1000)]
 
     rows = _manifest_rows(args.manifest)

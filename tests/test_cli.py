@@ -425,3 +425,30 @@ def test_every_cli_witness_validates(tmp_path):
     rep = report("dh-check", str(tmp_path / "J.kg"), "--classes", "0-2;3-5;6-8", "--matching")
     assert rep["matching"] is not None
     assert validate.check_matching(J, rep["matching"])
+
+
+def test_batch_help_row_is_an_error_row(tmp_path):
+    inst = tmp_path / "a.kg"
+    run(["gen", "complete", "--n", "10", "--k", "3", "-o", str(inst)])
+    manifest = tmp_path / "help.jsonl"
+    rows = [
+        {"id": "help", "args": ["tile", "--help"]},
+        {"id": "info", "args": ["info", str(inst)]},
+    ]
+    manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    out = tmp_path / "help.csv"
+    report, code = run(["batch", str(manifest), "-o", str(out)])
+    assert (code, report["rows"]) == (0, 2)
+    lines = out.read_text().strip().splitlines()[1:]
+    assert [line.split(",")[:4] for line in lines] == [
+        ["help", "tile", "error", "exit 0"],
+        ["info", "info", "decided-yes", ""],
+    ]
+
+
+def test_reach_without_enough_connectors_is_unknown(tmp_path, capsys):
+    inst = tmp_path / "k10.kg"
+    run(["gen", "complete", "--n", "10", "--k", "3", "-o", str(inst)])
+    capsys.readouterr()
+    assert main(["reach", str(inst), "--u", "0", "--v", "1", "--m", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "unknown"

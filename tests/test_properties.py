@@ -8,15 +8,18 @@ bound, and the independent validators.
 
 import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritile.core import KGraph
+from tritile import fractional
+from tritile.core import KGraph, complete_kgraph
 from tritile.exact import max_tiling, perfect_tiling
 from tritile.fractional import (
     FarkasCertificate,
+    min_max_pair_weight,
     packing_lp_value,
     perfect_fractional_tiling,
 )
@@ -76,3 +79,51 @@ def test_verdict_and_lp_value_ignore_vertex_labels(H, rng):
     a, b = perfect_fractional_tiling(H), perfect_fractional_tiling(H2)
     assert isinstance(a, FarkasCertificate) == isinstance(b, FarkasCertificate)
     assert packing_lp_value(H)[0] == packing_lp_value(H2)[0]
+
+
+@contextmanager
+def _recorded_solves():
+    """Every ``_Simplex.solve`` made inside the block, as (arguments, carried
+    duals and objective, the same recomputed from the returned basis).  The
+    recomputation runs at once, before a caller changes any cost."""
+    solve = fractional._Simplex.solve
+    seen = []
+
+    def recording(self, **kwargs):
+        obj, basis, binv, xb, y = out = solve(self, **kwargs)
+        fresh_obj = sum(self._col(j)[2] * x for j, x in zip(basis, xb))
+        seen.append((kwargs, (y, obj), (self._multipliers(basis, binv), fresh_obj)))
+        return out
+
+    fractional._Simplex.solve = recording
+    try:
+        yield seen
+    finally:
+        fractional._Simplex.solve = solve
+
+
+@given(small_hosts())
+@settings(max_examples=30, deadline=None)
+def test_carried_duals_equal_duals_recomputed_from_the_basis(H):
+    with _recorded_solves() as seen:
+        perfect_fractional_tiling(H)
+        packing_lp_value(H)
+        min_max_pair_weight(H)
+    for _kwargs, carried, fresh in seen:
+        assert carried == fresh
+
+
+def test_carried_duals_are_checked_in_every_phase():
+    """Phase 1, packing, and both min-max phases each return carried duals
+    equal to fresh ones on a host where every phase runs."""
+    for H in (complete_kgraph(9, 3), complete_kgraph(7, 4)):
+        for solver, solves in (
+            (perfect_fractional_tiling, 1),
+            (packing_lp_value, 1),
+            (min_max_pair_weight, 3),  # feasibility, min-max phase 1, phase 2
+        ):
+            with _recorded_solves() as seen:
+                solver(H)
+            assert len(seen) == solves
+            assert all(carried == fresh for _, carried, fresh in seen)
+        assert seen[-1][0].get("binv") is not None  # phase 2 starts warm
