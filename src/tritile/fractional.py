@@ -40,7 +40,7 @@ _ONE = Fraction(1)
 # -- data ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FractionalTiling:
     """Nonnegative rational weights on canonical copies of the host."""
 
@@ -83,7 +83,7 @@ class FractionalTiling:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FarkasCertificate:
     """Integer vector a with a . 1_{V(T)} >= 0 for every copy T and a . 1 < 0."""
 

@@ -38,7 +38,7 @@ def generalized_triangle(k: int) -> KGraph:
     return KGraph(2 * k - 1, k, [base + (k - 1,), base + (k,), spine])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriangleCopy:
     """An embedded copy: base (k-1 vertices), two apexes, k-2 tail vertices."""
 
@@ -47,9 +47,13 @@ class TriangleCopy:
     tail: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "base", tuple(sorted(self.base)))
-        object.__setattr__(self, "apexes", tuple(sorted(self.apexes)))
-        object.__setattr__(self, "tail", tuple(sorted(self.tail)))
+        # A part that is already a sorted tuple is kept, not copied, so the
+        # copies of a host share the tuples of its edge index.
+        for name in ("base", "apexes", "tail"):
+            part = getattr(self, name)
+            canonical = tuple(sorted(part))
+            if canonical != part:
+                object.__setattr__(self, name, canonical)
 
     @property
     def k(self) -> int:
@@ -78,7 +82,7 @@ class TriangleCopy:
         return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tiling:
     """Vertex-disjoint copies in a host graph."""
 
