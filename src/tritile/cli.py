@@ -78,6 +78,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _RowParser(_Parser):
+    """The parser of a batch row: its help and usage text is dropped, so the
+    batch's stdout carries only the batch report.  Subparsers inherit the
+    class, and rows on other threads keep their own parser."""
+
+    def _print_message(self, message, file=None):
+        pass
+
+
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "." in text or "e" in text.lower():
@@ -340,7 +349,7 @@ def cmd_batch(args) -> tuple:
     def run_row(row):
         start = time.perf_counter()
         try:
-            rep, _ = run(row["args"])
+            rep, _ = run(row["args"], _RowParser)
             value, path = rep.get("value", ""), row.get("output", "")
             cells = [rep["command"], rep["verdict"], value, path]
         # A failing row must not abort the batch, nor may a row whose
@@ -442,9 +451,9 @@ COMMANDS = {
 # -- parser and runner ----------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+def build_parser(parser_class=_Parser) -> _Parser:
     budget = _env_budget()
-    p = _Parser(prog="tritile", description=__doc__)
+    p = parser_class(prog="tritile", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_fn, _anchor, help_, specs) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
@@ -459,9 +468,9 @@ def build_parser() -> _Parser:
     return p
 
 
-def run(argv) -> tuple[dict, int]:
+def run(argv, parser_class=_Parser) -> tuple[dict, int]:
     """Parse and execute; returns (report, exit_code)."""
-    parser = build_parser()
+    parser = build_parser(parser_class)
     args = parser.parse_args(argv)
     fn, anchor = COMMANDS[args.command][:2]
     start = time.perf_counter()

@@ -109,6 +109,16 @@ class Tiling:
         }
 
 
+def _sorted_copy(base, apexes, tail) -> TriangleCopy:
+    """A TriangleCopy of parts that are already sorted tuples, without the
+    checks of ``__post_init__``: the supporting-set index builds thousands."""
+    copy = object.__new__(TriangleCopy)
+    object.__setattr__(copy, "base", base)
+    object.__setattr__(copy, "apexes", apexes)
+    object.__setattr__(copy, "tail", tail)
+    return copy
+
+
 def _canonical_copy(base, apexes, tail, k: int) -> TriangleCopy:
     copy = TriangleCopy(tuple(base), tuple(apexes), tuple(tail))
     if k > 2:
@@ -211,28 +221,18 @@ def supporting_sets(
     Sorted by vertex set.  Fractional weights, packing rows and exact-cover
     rows only ever depend on the vertex set of a copy, so this is the
     deduplicated column/row universe for those solvers.  The sets of a host
-    are enumerated once per KGraph object and shared by every later call;
-    ``restrict`` selects those inside it.  More than ``cap`` sets raises
-    BudgetExceeded, whether they were just enumerated or cached.
+    are enumerated once per KGraph object and shared by every later call,
+    which returns the same witness objects; ``restrict`` selects those
+    inside it.  More than ``cap`` sets in H raises BudgetExceeded with
+    ``partial_count == cap + 1``, whether they were just enumerated or cached.
     """
-    if H._sets is None:
-        first: dict[int, tuple] = {}
-        for copy in _copies(H):
-            m = copy[4]
-            if m not in first:
-                first[m] = copy
-                _check_set_cap(len(first), cap)
-        rows = sorted(
-            (tuple(sorted(base + (a, b) + tail)), m, TriangleCopy(base, (a, b), tail))
-            for base, a, b, tail, m in first.values()
-        )
-        H._sets = _SetIndex(H.n, [(vs, w) for vs, _, w in rows], [m for _, m, _ in rows])
-    sets = H._sets.sets
+    index = _set_index(H, cap)
+    rows = range(len(index.masks))
     if restrict is not None:
         outside = ~_mask(canonical_vertex_set(restrict))
-        sets = [row for row, m in zip(sets, H._sets.masks) if not m & outside]
-    _check_set_cap(len(sets), cap)
-    return list(sets)
+        rows = [r for r, m in enumerate(index.masks) if not m & outside]
+    vertex_sets, witness = index.vertex_sets, index.witness
+    return [(vertex_sets[r], witness(r)) for r in rows]
 
 
 def set_masks(H: KGraph, cap: int = DEFAULT_COPY_CAP) -> list[int]:
@@ -244,55 +244,111 @@ def set_masks(H: KGraph, cap: int = DEFAULT_COPY_CAP) -> list[int]:
 class _SetIndex:
     """A host's supporting sets, sorted by vertex set, with their vertex masks.
 
-    Row r is ``sets[r]``.  The rows containing each vertex are built on first
-    use, by a cover search or the packing branch and bound, so a host whose
-    questions the LP settles never pays for them.
+    Row r is the set ``vertex_sets[r]``.  Its least witness and the rows
+    containing each vertex are built on first use, so a solver reads only
+    the vertex sets and masks and builds the witnesses of the rows its
+    answer names, and a host whose questions the LP settles never pays for
+    the per-vertex rows.
     """
 
-    __slots__ = ("sets", "masks", "starts", "_by_vertex")
+    __slots__ = ("vertex_sets", "masks", "starts", "_bases", "_witnesses", "_by_vertex")
 
-    def __init__(self, n: int, sets: list, masks: list[int]):
-        self.sets = sets
-        self.masks = masks
+    def __init__(self, H: KGraph, cap: int):
+        # One pass over the edges per base, in sorted base order: a spine
+        # edge misses the base and holds two of its neighbours, so base +
+        # spine supports a copy, and the first base to reach a set is the
+        # base of its least witness.  For k=2 both apexes lie above the base
+        # vertex, as in ``_copies``.
+        edge_masks = [_mask(e) for e in H.edges]
+        first: dict[int, tuple] = {}
+        for base, nbrs in sorted(H._neighborhood_index().items()):
+            if len(nbrs) < 2:
+                continue
+            bm = _mask(base)
+            nm = _mask(nbrs) if H.k > 2 else _mask(nbrs) & (-2 << base[0])
+            found = (base, bm, nm)
+            for em in edge_masks:
+                if not em & bm:
+                    x = em & nm
+                    if x & (x - 1):
+                        m = bm | em
+                        if m not in first:
+                            first[m] = found
+            _check_set_cap(len(first), cap)
+        rows = sorted((_mask_vertices(m), m, found) for m, found in first.items())
+        self.vertex_sets = [vs for vs, _, _ in rows]
+        self.masks = [m for _, m, _ in rows]
+        # (base, base mask, mask of the base's admissible apexes) per row;
+        # the spine edge is the row's mask without the base mask
+        self._bases = [found for _, _, found in rows]
+        self._witnesses: Optional[list[Optional[TriangleCopy]]] = None
         # rows whose least vertex is u are starts[u] <= r < starts[u + 1]
-        self.starts = [bisect_left(sets, ((u,),)) for u in range(n + 1)]
+        self.starts = [bisect_left(self.vertex_sets, (u,)) for u in range(H.n + 1)]
         self._by_vertex: Optional[dict[int, list[int]]] = None
+
+    def witness(self, r: int) -> TriangleCopy:
+        """Row r's least witness: its base, the two least neighbours of the
+        base on the spine as apexes, the rest of the spine as tail.  Built
+        once and kept, so every caller gets the same object."""
+        if self._witnesses is None:
+            self._witnesses = [None] * len(self.masks)
+        copy = self._witnesses[r]
+        if copy is None:
+            base, bm, nm = self._bases[r]
+            spine = self.masks[r] ^ bm
+            x = spine & nm
+            a = x & -x
+            x ^= a
+            b = x & -x
+            tail = _mask_vertices(spine ^ a ^ b)
+            apexes = (a.bit_length() - 1, b.bit_length() - 1)
+            copy = self._witnesses[r] = _sorted_copy(base, apexes, tail)
+        return copy
 
     def vertex_rows(self) -> dict[int, list[int]]:
         """Every vertex's rows, in canonical order.  Callers must not mutate."""
         if self._by_vertex is None:
             n = len(self.starts) - 1
-            self._by_vertex = _rows_by_vertex(
-                range(n), ((r, vs) for r, (vs, _) in enumerate(self.sets))
-            )
+            self._by_vertex = _rows_by_vertex(range(n), enumerate(self.vertex_sets))
         return self._by_vertex
 
     def contains(self, vs: tuple[int, ...]) -> bool:
         """Is the canonical (2k-1)-tuple ``vs`` a supporting set?"""
-        r = bisect_left(self.sets, (vs,))
-        return r < len(self.sets) and self.sets[r][0] == vs
+        r = bisect_left(self.vertex_sets, vs)
+        return r < len(self.vertex_sets) and self.vertex_sets[r] == vs
 
     def rows_inside(self, vs: tuple[int, ...]) -> dict[int, list[int]]:
         """``vertex_rows`` restricted to the sets inside the canonical tuple
         ``vs``, for its vertices only.  Only rows whose least vertex lies in
         ``vs`` are read."""
         outside = ~_mask(vs)
-        sets, masks, starts = self.sets, self.masks, self.starts
+        vertex_sets, masks, starts = self.vertex_sets, self.masks, self.starts
         by_vertex: dict[int, list[int]] = {v: [] for v in vs}
         for u in vs:
             for r in range(starts[u], starts[u + 1]):
                 if not masks[r] & outside:
-                    for v in sets[r][0]:
+                    for v in vertex_sets[r]:
                         by_vertex[v].append(r)
         return by_vertex
 
 
 def _set_index(H: KGraph, cap: int = DEFAULT_COPY_CAP) -> _SetIndex:
-    """The host's supporting-set index; more than ``cap`` sets raises."""
+    """The host's supporting-set index, built on first use; more than
+    ``cap`` sets raises, during the build or from the cached index."""
     if H._sets is None:
-        supporting_sets(H, cap=cap)
+        H._sets = _SetIndex(H, cap)
     _check_set_cap(len(H._sets.masks), cap)
     return H._sets
+
+
+def _mask_vertices(m: int) -> tuple[int, ...]:
+    """The sorted vertices of the vertex mask ``m``."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
 
 
 def _rows_by_vertex(
@@ -308,9 +364,11 @@ def _rows_by_vertex(
 
 
 def _check_set_cap(count: int, cap: int) -> None:
+    """Raise once more than ``cap`` sets are counted; the partial count is
+    the first count over the cap, however far the counting had got."""
     if count > cap:
         raise BudgetExceeded(
-            f"supporting-set count exceeds cap {cap}", partial_count=count
+            f"supporting-set count exceeds cap {cap}", partial_count=cap + 1
         )
 
 

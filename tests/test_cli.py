@@ -446,6 +446,28 @@ def test_batch_help_row_is_an_error_row(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_batch_stdout_is_one_json_document(tmp_path, capsys, workers):
+    inst = tmp_path / "a.kg"
+    run(["gen", "complete", "--n", "10", "--k", "3", "-o", str(inst)])
+    manifest = tmp_path / "help.jsonl"
+    rows = [
+        {"id": "help", "args": ["tile", "--help"]},
+        {"id": "top", "args": ["--help"]},
+        {"id": "info", "args": ["info", str(inst)]},
+    ]
+    manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    capsys.readouterr()
+    assert main(["batch", str(manifest), "--workers", workers]) == 0
+    report = json.loads(capsys.readouterr().out)
+    lines = report["csv"].strip().splitlines()[1:]
+    assert [line.split(",")[:4] for line in lines] == [
+        ["help", "tile", "error", "exit 0"],
+        ["top", "--help", "error", "exit 0"],
+        ["info", "info", "decided-yes", ""],
+    ]
+
+
 def test_reach_without_enough_connectors_is_unknown(tmp_path, capsys):
     inst = tmp_path / "k10.kg"
     run(["gen", "complete", "--n", "10", "--k", "3", "-o", str(inst)])

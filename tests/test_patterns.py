@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from tritile.core import KGraph, complete_kgraph
 from tritile.constructions import extremal_construction, random_with_codegree
 from tritile.errors import BudgetExceeded, InvalidArity, InvalidColoring, InvalidUniformity
+from tritile.exact import _decide_perfect_tiling, max_tiling
+from tritile.fractional import packing_lp_value
 from tritile.lattice import VertexPartition, index_vector, perfectly_tilable, robust_vectors
 from tritile.patterns import (
     TriangleCopy,
@@ -21,6 +25,7 @@ from tritile.patterns import (
     supports_triangle,
     validate_copy,
 )
+from tritile.rainbow import GraphFamily
 from tritile.validate import brute_perfectly_tilable, brute_supports, check_copy
 
 from oracles import oracle_automorphisms, oracle_supports
@@ -278,3 +283,91 @@ def test_blowup_single_edge():
 
 def test_blowup_pattern_vertex_count():
     assert blowup(generalized_triangle(3), 2).n == 10
+
+
+# -- byte-identity pins for the supporting-set index ---------------------------
+
+
+def _relabelled(H: KGraph) -> KGraph:
+    """H under v -> (3v + 1) mod n (a bijection for the n used here)."""
+    n = H.n
+    return KGraph(n, H.k, [sorted((3 * v + 1) % n for v in e) for e in H.edges])
+
+
+def _rainbow_union() -> KGraph:
+    """Union of the nine n=15 hosts of perfbench's first rainbow family at
+    seed 0 (host seeds 300010..300018, with the workload's retry rule)."""
+    from tritile.errors import GenerationFailed
+
+    hosts = []
+    for seed in range(300_010, 300_019):
+        for attempt in range(16):
+            try:
+                hosts.append(random_with_codegree(15, 3, 5, seed=seed + attempt * 7919))
+                break
+            except GenerationFailed:
+                continue
+    assert len(hosts) == 9
+    return GraphFamily(tuple(hosts)).union()
+
+
+INDEX_HOSTS = {
+    "ext(3,20)~": lambda: _relabelled(extremal_construction(3, 20).graph),
+    "ext(4,14)~": lambda: _relabelled(extremal_construction(4, 14).graph),
+    "K10^(3)": lambda: complete_kgraph(10, 3),
+    "K7^(2)": lambda: complete_kgraph(7, 2),
+    "rainbow-union-s0": _rainbow_union,
+}
+
+# sha256 of every (vertex set, least witness) row and every set mask, taken
+# before the index was rebuilt around one pass per base and lazy witnesses.
+INDEX_PINS = {
+    "K10^(3)": "b093d1e95fe8b21084c51360d2cbaf767e9911abcc5fafde78d596d1bfa3b032",
+    "K7^(2)": "3548260aefef18930d9f28338023d71120bbb5756616520ede436f80bdc0f9b4",
+    "ext(3,20)~": "540ed3b025dea0e05f489a54166633ce0db4e9c1a7e0e7d37cec6a69dfca4432",
+    "ext(4,14)~": "08c796f61140658e4999c302b12fee852e5c2bb8f4032e608a190f8e16a93f8e",
+    "rainbow-union-s0": "e84c7808df3ce4ebb3e4bdd4ae1cd75eb2b2f79d31783c967c20e448a5ad684d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_HOSTS))
+def test_supporting_set_index_pins(name):
+    H = INDEX_HOSTS[name]()
+    rows = [[list(vs), witness.to_json()] for vs, witness in supporting_sets(H)]
+    text = json.dumps({"sets": rows, "masks": set_masks(H)}, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == INDEX_PINS[name]
+
+
+def _built_witnesses(H: KGraph) -> int:
+    return sum(w is not None for w in H._sets._witnesses or ())
+
+
+def test_solvers_build_only_the_witnesses_they_return():
+    H = extremal_construction(3, 20).graph
+    tiling, layer, _ = _decide_perfect_tiling(H)
+    assert (tiling, layer) == (None, "farkas")
+    assert _built_witnesses(H) == 0
+    value, tiling = max_tiling(H)
+    assert value == len(tiling.copies) > 0
+    assert _built_witnesses(H) <= value
+    # every later answer hands out the index's own witness objects
+    sets = supporting_sets(H)
+    assert all(a is b for (_, a), (_, b) in zip(sets, supporting_sets(H)))
+    own = {id(w) for _, w in sets}
+    assert all(id(c) in own for c in tiling.copies)
+    assert all(id(c) in own for c in packing_lp_value(H)[1].weights)
+
+
+def test_supporting_sets_cap_raises_in_the_pass_and_from_the_cache():
+    H = complete_kgraph(12, 3)
+    with pytest.raises(BudgetExceeded) as fresh:
+        supporting_sets(H, cap=10)
+    assert fresh.value.partial_count == 11
+    assert any(entry.name == "__init__" for entry in fresh.traceback)
+    assert H._sets is None
+    assert len(set_masks(H)) == 792  # the index, still without witnesses
+    for call in (supporting_sets, set_masks):
+        with pytest.raises(BudgetExceeded) as cached:
+            call(H, cap=10)
+        assert cached.value.partial_count == 11
+    assert _built_witnesses(H) == 0
