@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fractional import (
     FarkasCertificate,
-    _packing,
+    packing_lp_value,
     perfect_fractional_tiling,
 )
 from .patterns import (
@@ -32,6 +32,7 @@ from .patterns import (
     TriangleCopy,
     _rows_by_vertex,
     _set_index,
+    supporting_sets,
     supports_triangle,
 )
 
@@ -172,17 +173,18 @@ def _decide_perfect_tiling(
         return None, "divisibility", None
     if H.n == 0:
         return Tiling((), 0), None, None
-    index = _set_index(H, cap)
-    if not index.masks:
+    sets = supporting_sets(H, cap=cap)
+    if not sets:
         return None, "cover", None
     if use_lp:
-        verdict = perfect_fractional_tiling(H, cap=cap)
+        verdict = perfect_fractional_tiling(H, sets=sets)
         if isinstance(verdict, FarkasCertificate):
             return None, "farkas", verdict
+    index = _set_index(H, cap)
     rows = _CoverSearch(range(H.n), index.vertex_rows(), index.masks, budget).run()
     if rows is None:
         return None, "cover", None
-    return Tiling(tuple(map(index.witness, rows)), H.n), None, None
+    return Tiling(tuple(sets[r][1] for r in rows), H.n), None, None
 
 
 def max_tiling(
@@ -199,12 +201,13 @@ def max_tiling(
     certified [lower, upper] bounds.
     """
     s = 2 * H.k - 1
+    sets = supporting_sets(H, cap=cap)
+    if not sets:
+        return 0, Tiling((), H.n)
+    lp_value, lp_tiling = packing_lp_value(H, sets=sets)
+    hi = int(lp_value)  # floor: weak duality bound for integral packings
     index = _set_index(H, cap)
     masks = index.masks
-    if not masks:
-        return 0, Tiling((), H.n)
-    lp_value, lp_weights = _packing(H.n, index.vertex_sets)
-    hi = int(lp_value)  # floor: weak duality bound for integral packings
 
     def greedy(order: Sequence[int]) -> list[int]:
         covered = 0
@@ -215,9 +218,12 @@ def max_tiling(
                 covered |= masks[r]
         return out
 
-    best = greedy(range(len(masks)))
-    # rows are in vertex-set order, so ties keep the canonical order
-    weighted = sorted(range(len(masks)), key=lambda r: -lp_weights.get(r, 0))
+    best = greedy(range(len(sets)))
+    support = {vs: w for c, w in lp_tiling.weights.items() for vs in (c.vertices,)}
+    weighted = sorted(
+        range(len(sets)),
+        key=lambda r: (-support.get(sets[r][0], Fraction(0)), sets[r][0]),
+    )
     alt = greedy(weighted)
     if len(alt) > len(best):
         best = alt
@@ -263,7 +269,8 @@ def max_tiling(
         best_rows = state["best"]
         lo = state["lo"]
 
-    return lo, Tiling(tuple(map(index.witness, best_rows)), H.n)
+    witness = Tiling(tuple(sets[r][1] for r in best_rows), H.n)
+    return lo, witness
 
 
 # -- k-partite matchings and degree conditions ---------------------------------

@@ -30,12 +30,11 @@ from .errors import BudgetExceeded, InvalidDimension, InvalidVertex
 from .patterns import (
     DEFAULT_COPY_CAP,
     TriangleCopy,
-    _set_index,
+    supporting_sets,
 )
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-DEFAULT_PIVOT_CAP = 1_000_000
 
 
 # -- data ------------------------------------------------------------------
@@ -357,21 +356,16 @@ class _Simplex:
 # Every constraint in these programs depends on a copy only through its
 # vertex set, so the column universe is the supporting (2k-1)-sets, each
 # carrying its least witness copy.  This quotients away pattern symmetry
-# without changing any optimum or certificate.  The programs read the sets
-# as vertex tuples and ask for a column's witness only when an answer names
-# it, so the host's index builds no other witness.
+# without changing any optimum or certificate.
 
 
 SetList = list  # list[(vertices, TriangleCopy)]
 
 
-def _set_columns(H: KGraph, sets: Optional[SetList], cap: int):
-    """(vertex tuples, witness of column j) of the set columns: the caller's
-    ``sets``, or else the host's supporting-set index."""
+def _sets(H: KGraph, sets, cap) -> SetList:
     if sets is None:
-        index = _set_index(H, cap)
-        return index.vertex_sets, index.witness
-    return [vs for vs, _ in sets], [w for _, w in sets].__getitem__
+        sets = supporting_sets(H, cap=cap)
+    return sets
 
 
 def _scale_to_integers(values: Sequence[Fraction]) -> tuple[int, ...]:
@@ -385,15 +379,30 @@ def _scale_to_integers(values: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _basis_weights(m: int, basis, xb) -> dict[int, Fraction]:
-    """The nonzero weights a basic solution puts on the m set columns, which
-    come first (column id = set row)."""
-    return {col_id: x for col_id, x in zip(basis, xb) if col_id < m and x != 0}
+def _avoiding_sets(sets: SetList, B: KGraph) -> SetList:
+    pair_set = set(B.edges)
+    out = []
+    for vs, witness in sets:
+        if any(
+            (vs[i], vs[j]) in pair_set
+            for i in range(len(vs))
+            for j in range(i + 1, len(vs))
+        ):
+            continue
+        out.append((vs, witness))
+    return out
 
 
-def _tiling(n: int, witness, weights: dict[int, Fraction]) -> FractionalTiling:
-    """Weights keyed by set column, put on the columns' witness copies."""
-    return FractionalTiling(n, {witness(r): x for r, x in weights.items()})
+def _basis_tiling(n: int, sets: SetList, basis, xb) -> FractionalTiling:
+    """The weights a basic solution puts on the supporting-set columns, which
+    come first (column id = index into ``sets``)."""
+    m = len(sets)
+    weights: dict[TriangleCopy, Fraction] = {}
+    for col_id, x in zip(basis, xb):
+        if col_id < m and x != 0:
+            witness = sets[col_id][1]
+            weights[witness] = weights.get(witness, _ZERO) + x
+    return FractionalTiling(n, weights)
 
 
 # -- operations --------------------------------------------------------------
@@ -404,21 +413,18 @@ def perfect_fractional_tiling(
     *,
     sets: Optional[SetList] = None,
     cap: int = DEFAULT_COPY_CAP,
-    pivot_cap: int = DEFAULT_PIVOT_CAP,
+    pivot_cap: int = 1_000_000,
 ):
     """Perfect fractional tiling of H, or a Farkas certificate of its absence.
 
     Exactly one of the two is returned; the certificate is validated against
     the full supporting-set list before being handed back.
     """
-    return _perfect_fractional(H.n, *_set_columns(H, sets, cap), pivot_cap)
-
-
-def _perfect_fractional(n: int, vertex_sets, witness, pivot_cap: int):
-    """``perfect_fractional_tiling`` over the given set columns."""
-    m = len(vertex_sets)
+    sets = _sets(H, sets, cap)
+    n = H.n
+    m = len(sets)
     artificials = [_Column((r,), 1, 1) for r in range(n)]
-    sx = _Simplex(n, vertex_sets, 0, artificials, [_ONE] * n)
+    sx = _Simplex(n, [vs for vs, _ in sets], 0, artificials, [_ONE] * n)
     obj, basis, _binv, xb, y = sx.solve(
         basis=list(range(m, m + n)),
         minimize=True,
@@ -426,10 +432,10 @@ def _perfect_fractional(n: int, vertex_sets, witness, pivot_cap: int):
         pivot_cap=pivot_cap,
     )
     if obj == 0:
-        return _tiling(n, witness, _basis_weights(m, basis, xb))
+        return _basis_tiling(n, sets, basis, xb)
     coeffs = _scale_to_integers([-v for v in y])
     cert = FarkasCertificate(coeffs)
-    check = _check_certificate(cert, vertex_sets, witness)
+    check = verify_certificate(H, cert, sets=sets)
     if not check.valid:
         raise ArithmeticError(f"internal: extracted certificate fails: {check.reason}")
     return cert
@@ -454,18 +460,12 @@ def verify_certificate(
         raise InvalidDimension(f"certificate has {cert.n} entries, host has {H.n}")
     if cert.total() >= 0:
         return CertificateCheck(False, f"a.1 = {cert.total()} is not negative")
-    return _check_certificate(cert, *_set_columns(H, sets, cap))
-
-
-def _check_certificate(cert: FarkasCertificate, vertex_sets, witness) -> CertificateCheck:
-    """Every set column scores a.1_V >= 0; else the first that does not,
-    with its witness."""
-    get = cert.coeffs.__getitem__
-    for r, vs in enumerate(vertex_sets):
-        value = sum(map(get, vs))
+    sets = _sets(H, sets, cap)
+    for vs, witness in sets:
+        value = sum(cert.coeffs[v] for v in vs)
         if value < 0:
             return CertificateCheck(
-                False, f"copy on {vs} has a.1_V = {value}", witness(r)
+                False, f"copy on {vs} has a.1_V = {value}", witness
             )
     return CertificateCheck(True)
 
@@ -475,7 +475,7 @@ def b_avoiding_fractional_tiling(
     B: KGraph,
     *,
     cap: int = DEFAULT_COPY_CAP,
-    pivot_cap: int = DEFAULT_PIVOT_CAP,
+    pivot_cap: int = 1_000_000,
 ):
     """Same verdict restricted to copies spanning no pair of B.
 
@@ -484,17 +484,8 @@ def b_avoiding_fractional_tiling(
     """
     if B.k != 2 or B.n != H.n:
         raise InvalidDimension("B must be a 2-uniform graph on V(H)")
-    index = _set_index(H, cap)
-    pair_set = set(B.edges)
-    rows = [
-        r
-        for r, vs in enumerate(index.vertex_sets)
-        if not any(p in pair_set for p in combinations(vs, 2))
-    ]
-    vertex_sets = [index.vertex_sets[r] for r in rows]
-    return _perfect_fractional(
-        H.n, vertex_sets, lambda j: index.witness(rows[j]), pivot_cap
-    )
+    sets = _avoiding_sets(supporting_sets(H, cap=cap), B)
+    return perfect_fractional_tiling(H, sets=sets, pivot_cap=pivot_cap)
 
 
 def packing_lp_value(
@@ -502,54 +493,45 @@ def packing_lp_value(
     *,
     sets: Optional[SetList] = None,
     cap: int = DEFAULT_COPY_CAP,
-    pivot_cap: int = DEFAULT_PIVOT_CAP,
+    pivot_cap: int = 1_000_000,
 ) -> tuple[Fraction, FractionalTiling]:
     """Exact optimum of the fractional packing relaxation max sum(w), w(u) <= 1."""
-    vertex_sets, witness = _set_columns(H, sets, cap)
-    obj, weights = _packing(H.n, vertex_sets, pivot_cap)
-    return obj, _tiling(H.n, witness, weights)
-
-
-def _packing(
-    n: int, vertex_sets, pivot_cap: int = DEFAULT_PIVOT_CAP
-) -> tuple[Fraction, dict[int, Fraction]]:
-    """``packing_lp_value`` over the given set columns, with the optimal
-    weights keyed by column."""
-    m = len(vertex_sets)
+    sets = _sets(H, sets, cap)
+    n = H.n
+    m = len(sets)
     slacks = [_Column((r,), 1, 0) for r in range(n)]
-    sx = _Simplex(n, vertex_sets, 1, slacks, [_ONE] * n)
+    sx = _Simplex(n, [vs for vs, _ in sets], 1, slacks, [_ONE] * n)
     obj, basis, _binv, xb, _y = sx.solve(
         basis=list(range(m, m + n)),
         minimize=False,
         pivot_cap=pivot_cap,
     )
-    return obj, _basis_weights(m, basis, xb)
+    return obj, _basis_tiling(n, sets, basis, xb)
 
 
 def min_max_pair_weight(
     H: KGraph,
     *,
     cap: int = DEFAULT_COPY_CAP,
-    pivot_cap: int = DEFAULT_PIVOT_CAP,
+    pivot_cap: int = 1_000_000,
 ):
     """Minimize, over perfect fractional tilings, the maximum pair weight.
 
     Returns (W*, tiling); if no perfect fractional tiling exists, the Farkas
     certificate is passed through instead.
     """
-    index = _set_index(H, cap)
-    vertex_sets = index.vertex_sets
-    n = H.n
-    first = _perfect_fractional(n, vertex_sets, index.witness, pivot_cap)
+    sets = supporting_sets(H, cap=cap)
+    first = perfect_fractional_tiling(H, sets=sets, pivot_cap=pivot_cap)
     if isinstance(first, FarkasCertificate):
         return first
 
-    m = len(vertex_sets)
-    pairs = sorted({p for vs in vertex_sets for p in combinations(vs, 2)})
+    n = H.n
+    m = len(sets)
+    pairs = sorted({p for vs, _ in sets for p in combinations(vs, 2)})
     pair_row = {p: n + idx for idx, p in enumerate(pairs)}
     nrows = n + len(pairs)
 
-    block = [vs + tuple(pair_row[p] for p in combinations(vs, 2)) for vs in vertex_sets]
+    block = [vs + tuple(pair_row[p] for p in combinations(vs, 2)) for vs, _ in sets]
     w_col = m
     others = [_Column(range(n, nrows), -1, 0)]
     slack0 = m + 1
@@ -590,4 +572,4 @@ def min_max_pair_weight(
             w_star = x
         elif col_id in art and x != 0:
             raise ArithmeticError("internal: artificial drifted positive in phase 2")
-    return w_star, _tiling(n, index.witness, _basis_weights(m, basis, xb))
+    return w_star, _basis_tiling(n, sets, basis, xb)

@@ -25,7 +25,7 @@ from .errors import (
     InvalidVertex,
 )
 from .exact import DEFAULT_NODE_BUDGET, _CoverSearch, _disjoint_rows
-from .patterns import DEFAULT_COPY_CAP, _set_index
+from .patterns import DEFAULT_COPY_CAP, _set_index, set_masks, supporting_sets
 
 YES = "yes"
 NO = "no"
@@ -245,11 +245,11 @@ def robust_vectors(
     if beta < 0:
         raise InvalidDimension("beta must be nonnegative")
     m = int(beta * H.n)
-    index = _set_index(H, cap)
+    sets = supporting_sets(H, cap=cap)
     block_masks = [_mask(b) for b in P.blocks]
     n = P.n
     by_vec: dict[tuple[int, ...], list[int]] = {}
-    for vs, mask in zip(index.vertex_sets, index.masks):
+    for (vs, _), mask in zip(sets, set_masks(H, cap)):
         if mask >> n:
             raise InvalidVertex(f"{vs} leaves the partition's vertex range")
         vec = tuple((mask & bm).bit_count() for bm in block_masks)

@@ -320,7 +320,8 @@ INDEX_HOSTS = {
 }
 
 # sha256 of every (vertex set, least witness) row and every set mask, taken
-# before the index was rebuilt around one pass per base and lazy witnesses.
+# before the index was rebuilt around one pass per base and witnesses built
+# on first use.
 INDEX_PINS = {
     "K10^(3)": "b093d1e95fe8b21084c51360d2cbaf767e9911abcc5fafde78d596d1bfa3b032",
     "K7^(2)": "3548260aefef18930d9f28338023d71120bbb5756616520ede436f80bdc0f9b4",
@@ -338,22 +339,24 @@ def test_supporting_set_index_pins(name):
     assert hashlib.sha256(text.encode()).hexdigest() == INDEX_PINS[name]
 
 
-def _built_witnesses(H: KGraph) -> int:
-    return sum(w is not None for w in H._sets._witnesses or ())
+def _witnesses_built(H: KGraph) -> bool:
+    return H._sets._sets is not None
 
 
-def test_solvers_build_only_the_witnesses_they_return():
+def test_index_readers_build_no_witnesses_and_answers_share_them():
     H = extremal_construction(3, 20).graph
-    tiling, layer, _ = _decide_perfect_tiling(H)
-    assert (tiling, layer) == (None, "farkas")
-    assert _built_witnesses(H) == 0
-    value, tiling = max_tiling(H)
-    assert value == len(tiling.copies) > 0
-    assert _built_witnesses(H) <= value
-    # every later answer hands out the index's own witness objects
+    masks = set_masks(H)
+    assert perfectly_tilable(H, range(5)) == any(m == 0b11111 for m in masks)
+    assert not _witnesses_built(H)
     sets = supporting_sets(H)
+    assert _witnesses_built(H)
+    # every later answer hands out the index's own witness objects
     assert all(a is b for (_, a), (_, b) in zip(sets, supporting_sets(H)))
     own = {id(w) for _, w in sets}
+    tiling, layer, _ = _decide_perfect_tiling(H)
+    assert (tiling, layer) == (None, "farkas")
+    value, tiling = max_tiling(H)
+    assert value == len(tiling.copies) > 0
     assert all(id(c) in own for c in tiling.copies)
     assert all(id(c) in own for c in packing_lp_value(H)[1].weights)
 
@@ -370,4 +373,4 @@ def test_supporting_sets_cap_raises_in_the_pass_and_from_the_cache():
         with pytest.raises(BudgetExceeded) as cached:
             call(H, cap=10)
         assert cached.value.partial_count == 11
-    assert _built_witnesses(H) == 0
+    assert not _witnesses_built(H)
