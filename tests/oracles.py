@@ -99,3 +99,39 @@ def oracle_automorphisms(pattern):
         if mapped == edges:
             count += 1
     return count
+
+
+def oracle_cover_search(universe, by_vertex, row_masks, accept=None):
+    """Exact cover by re-filtering every vertex's full row list at every
+    node: returns (rows or None, nodes).  The branching vertex is the
+    uncovered one with the fewest live rows, the first in ``universe`` on
+    ties; rows are tried in listed order; a node is a call that does not
+    find the universe covered.  ``accept(chosen)`` prunes a partial cover."""
+    full = 0
+    for v in universe:
+        full |= 1 << v
+    nodes = 0
+
+    def search(covered, chosen):
+        nonlocal nodes
+        if covered == full:
+            return list(chosen)
+        nodes += 1
+        best = None
+        for v in universe:
+            if covered >> v & 1:
+                continue
+            live = [r for r in by_vertex[v] if not row_masks[r] & covered]
+            if best is None or len(live) < len(best):
+                best = live
+        for r in best:
+            chosen.append(r)
+            if accept is None or accept(chosen):
+                found = search(covered | row_masks[r], chosen)
+                if found is not None:
+                    return found
+            chosen.pop()
+        return None
+
+    rows = search(0, [])
+    return rows, nodes

@@ -331,6 +331,31 @@ INDEX_PINS = {
 }
 
 
+COPY_HOSTS = {
+    "ext(3,20)": lambda: extremal_construction(3, 20).graph,
+    "K7^(2)": lambda: complete_kgraph(7, 2),
+    "K7^(4)": lambda: complete_kgraph(7, 4),
+}
+
+# sha256 of every canonical copy as [base, apexes, tail], in the order
+# ``enumerate_copies`` lists them (None: no restriction), taken before the
+# copy walk yielded one group per (base, apex, apex).
+COPY_PINS = {
+    ("ext(3,20)", None): "2cd02466c9c12e59e557cabb860ec731bf44d9ecd9e896898b770891b8eba089",
+    ("K7^(2)", None): "7424220440701a6fe0f6103ff62e41d191880bc3bae167b050940ecce86a0af6",
+    ("K7^(2)", (1, 2, 3, 4, 5, 6)): "e4b8e7b05e1859cbffcc36aa18246701c8fa81eb52cd5c2cdcd4e1a875891e73",
+    ("K7^(4)", None): "c6fdc65e83196b7f7ddde7db86b10334cc0bcd4f7ecc74ccd63ed9798aab1636",
+}
+
+
+@pytest.mark.parametrize("name, restrict", sorted(COPY_PINS, key=str))
+def test_enumerate_copies_pins(name, restrict):
+    copies = enumerate_copies(COPY_HOSTS[name](), restrict=restrict)
+    rows = [[list(c.base), list(c.apexes), list(c.tail)] for c in copies]
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == COPY_PINS[name, restrict]
+
+
 @pytest.mark.parametrize("name", sorted(INDEX_HOSTS))
 def test_supporting_set_index_pins(name):
     H = INDEX_HOSTS[name]()

@@ -14,9 +14,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from tritile import fractional
 from tritile.core import KGraph, complete_kgraph
-from tritile.exact import max_tiling, perfect_tiling
+from tritile.errors import BudgetExceeded
+from tritile.exact import _CoverSearch, max_tiling, perfect_tiling
 from tritile.fractional import (
     FarkasCertificate,
     min_max_pair_weight,
@@ -24,6 +27,8 @@ from tritile.fractional import (
     perfect_fractional_tiling,
 )
 from tritile.validate import check_certificate, check_fractional, check_tiling
+
+from oracles import oracle_cover_search
 
 
 @st.composite
@@ -127,3 +132,48 @@ def test_carried_duals_are_checked_in_every_phase():
             assert len(seen) == solves
             assert all(carried == fresh for _, carried, fresh in seen)
         assert seen[-1][0].get("binv") is not None  # phase 2 starts warm
+
+
+@st.composite
+def row_families(draw):
+    """A universe inside 0..13, its 2- and 3-sets each a row at a drawn
+    density, listed per vertex in a seeded random row order, and optionally
+    a prune that rejects any partial cover holding a banned pair of rows."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    universe = sorted(rng.sample(range(14), draw(st.integers(1, 12))))
+    density = draw(st.integers(1, 6)) / 10
+    rows = [
+        c
+        for size in (2, 3)
+        for c in itertools.combinations(universe, size)
+        if rng.random() < density
+    ]
+    rng.shuffle(rows)
+    masks = [sum(1 << v for v in r) for r in rows]
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    by_vertex = {v: [] for v in universe}
+    for r in order:
+        for v in rows[r]:
+            by_vertex[v].append(r)
+    accept = None
+    if draw(st.booleans()):
+        banned = {frozenset(rng.sample(range(len(rows)), 2)) for _ in range(len(rows) // 2)}
+
+        def accept(chosen):
+            return all(frozenset((q, chosen[-1])) not in banned for q in chosen[:-1])
+
+    return universe, by_vertex, masks, accept
+
+
+@given(row_families())
+@settings(max_examples=200, deadline=None)
+def test_cover_search_matches_the_refiltering_oracle(family):
+    universe, by_vertex, masks, accept = family
+    rows, nodes = oracle_cover_search(universe, by_vertex, masks, accept)
+    search = _CoverSearch(universe, by_vertex, masks, nodes, accept)
+    assert search.run() == rows
+    assert search.nodes == nodes
+    if nodes:
+        with pytest.raises(BudgetExceeded):
+            _CoverSearch(universe, by_vertex, masks, nodes - 1, accept).run()

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 import tritile.exact
 from tritile.core import KGraph, complete_kgraph
 from tritile.constructions import extremal_construction, random_with_codegree
-from tritile.errors import BudgetExceeded, InvalidFamily
+from tritile.errors import BudgetExceeded, GenerationFailed, InvalidFamily
 from tritile.patterns import generalized_triangle
 from tritile.rainbow import (
     GraphFamily,
@@ -146,6 +149,67 @@ def test_rainbow_budget_raises_never_none():
     ones = tuple(KGraph(10, 3, [e]) for e in [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
     with pytest.raises(BudgetExceeded):
         rainbow_perfect_tiling(GraphFamily((full,) * 3 + ones), budget=2)
+
+
+def _perfbench_family(seed: int, f: int) -> GraphFamily:
+    """Family ``f`` of perfbench's rainbow pool at ``seed``: nine n=15 hosts
+    of codegree 5, with the workload's host seeds and retry rule."""
+    first = (seed & 0xFFFFFFFF) * 1_000_003 + 3 * 100_003 + 1 + 9 * f
+    hosts = []
+    for host_seed in range(first, first + 9):
+        for attempt in range(16):
+            try:
+                hosts.append(random_with_codegree(15, 3, 5, seed=host_seed + attempt * 7919))
+                break
+            except GenerationFailed:
+                continue
+    assert len(hosts) == 9
+    return GraphFamily(tuple(hosts))
+
+
+def _sampled_family(n: int, k: int, seed: int, p_union: float, p_keep: float) -> GraphFamily:
+    """3n/(2k-1) hosts, each keeping edges of one seeded random union."""
+    rng = random.Random(seed)
+    union = [e for e in itertools.combinations(range(n), k) if rng.random() < p_union]
+    return GraphFamily(
+        tuple(
+            KGraph(n, k, [e for e in union if rng.random() < p_keep])
+            for _ in range(3 * n // (2 * k - 1))
+        )
+    )
+
+
+RAINBOW_FAMILIES = {
+    f"perfbench-s{s}-f{f}": partial(_perfbench_family, s, f) for s in (0, 1) for f in range(3)
+}
+RAINBOW_FAMILIES["k2-n12"] = partial(_sampled_family, 12, 2, 3, 0.7, 0.3)
+RAINBOW_FAMILIES["k4-n14"] = partial(_sampled_family, 14, 4, 1, 0.2, 0.5)
+
+# (sha256 of the answer's to_json(), nodes N: budget N answers and N - 1
+# raises), taken before the cover search passed live rows to its children
+# and before the rainbow rows were built per (base, apex) group.
+RAINBOW_PINS = {
+    "perfbench-s0-f0": ("4453b2c2aba29c08739d099d8499dc5ca573287cf57367bfd505478498f8b69d", 3),
+    "perfbench-s0-f1": ("e18f06505146115c10b6566652dedc5b1ae224c2c40e41083d66347cf0d49daa", 3),
+    "perfbench-s0-f2": ("10d1c1550588874afc29f1ce7a194f5465ee4758421e1d359100a77b1aeace74", 3),
+    "perfbench-s1-f0": ("44dc16109cbeafea6ff483bb2836771de4cbac456f2e9b6568848eb8883c96b0", 3),
+    "perfbench-s1-f1": ("1cf118741ba9fc7bc6373db2b2856d8ae644b0f75f625207ab82d03b14cc807f", 3),
+    "perfbench-s1-f2": ("087e4255e7173dc3d2e91f0cb01c0fbcdea16de387c0665a6c733a59b54a0dcb", 3),
+    "k2-n12": ("2a21be5012ded6d2d50fbbecadb97e350f56481c5d8b7834a2f685a51078e097", 6),
+    "k4-n14": ("ec4f2ee47f9b6e29e33c774c69007f382c3703cb8ad336b25cd0da2a95adaa90", 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAINBOW_FAMILIES))
+def test_rainbow_answer_and_node_count_pins(name):
+    family = RAINBOW_FAMILIES[name]()
+    digest, nodes = RAINBOW_PINS[name]
+    rt = rainbow_perfect_tiling(family, budget=nodes)
+    assert rt is not None and check_rainbow(family, rt)
+    text = json.dumps(rt.to_json(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    with pytest.raises(BudgetExceeded):
+        rainbow_perfect_tiling(family, budget=nodes - 1)
 
 
 def test_rainbow_looks_up_union_tiling_at_call_time(monkeypatch):
