@@ -48,10 +48,15 @@ class _CoverSearch:
     ``by_vertex`` maps each universe vertex to the indices of the rows that
     contain it, every such row lying inside the universe; ``row_masks`` gives
     each row's vertex mask.  Deterministic: the branching vertex is the
-    uncovered one with the fewest live rows (ties to the lowest id), rows are
-    tried in their listed order.  ``accept(chosen)``, when given, sees the
-    partial cover after each appended row and prunes it by returning False.
-    Node budget guards runaway instances.
+    uncovered one with the fewest live rows (ties to the first in universe
+    order), rows are tried in their listed order.  ``accept(chosen)``, when
+    given, sees the partial cover after each appended row and prunes it by
+    returning False.  Node budget guards runaway instances.
+
+    Each node hands its live rows to its children, as dancing links does
+    (Knuth, "Dancing Links", 2000): the root reads ``by_vertex`` as it is,
+    and a child filters only its parent's live rows, against the one row
+    just chosen, so no node rereads rows that an earlier choice killed.
     """
 
     def __init__(
@@ -71,29 +76,36 @@ class _CoverSearch:
         self.full = _mask(self.universe)
 
     def run(self) -> Optional[list[int]]:
-        return self._search(0, [])
+        live = {v: self.by_vertex[v] for v in self.universe}
+        return self._search(0, 0, live, [])
 
-    def _search(self, covered: int, chosen: list[int]) -> Optional[list[int]]:
+    def _search(
+        self, covered: int, row: int, live: dict[int, list[int]], chosen: list[int]
+    ) -> Optional[list[int]]:
+        """Search below the node reached by adding the row of mask ``row`` to
+        ``covered``; ``live`` holds the parent's live rows of every vertex
+        the parent left uncovered, in universe order."""
+        covered |= row
         if covered == self.full:
             return list(chosen)
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"cover search exceeded {self.budget} nodes")
-        row_masks, by_vertex = self.row_masks, self.by_vertex
-        best: Optional[list[int]] = None
-        for v in self.universe:
-            if covered >> v & 1:
-                continue
-            live = [r for r in by_vertex[v] if not row_masks[r] & covered]
-            if best is None or len(live) < len(best):
-                best = live
-                if not live:
-                    return None
+        row_masks = self.row_masks
+        if row:
+            parent, live = live, {}
+            for v, rows in parent.items():
+                if not row >> v & 1:
+                    rows = [r for r in rows if not row_masks[r] & row]
+                    if not rows:
+                        return None
+                    live[v] = rows
+        best = min(live.values(), key=len)
         accept = self.accept
         for r in best:
             chosen.append(r)
             if accept is None or accept(chosen):
-                found = self._search(covered | row_masks[r], chosen)
+                found = self._search(covered, row_masks[r], live, chosen)
                 if found is not None:
                     return found
             chosen.pop()

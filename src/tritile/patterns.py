@@ -147,23 +147,35 @@ def supports_triangle(H: KGraph, S: Iterable[int]) -> Optional[TriangleCopy]:
     return best
 
 
-def _copies(H: KGraph) -> Iterator[tuple[tuple[int, ...], int, int, tuple[int, ...], int]]:
-    """Every canonical copy as (base, apex a, apex b, tail, vertex mask).
+_Spine = tuple[tuple[int, ...], int]  # (tail, spine edge mask)
 
-    Walks base -> apex pair -> spine edge, each level in lexicographic
-    order, so copies come out in ``TriangleCopy.sort_key`` order and the
-    first copy met on a vertex set is its least witness.  For k=2 only the
-    copy whose base is the least vertex of its triangle is canonical.
+
+def _copies(
+    H: KGraph,
+) -> Iterator[tuple[tuple[int, ...], int, int, int, list[_Spine]]]:
+    """Every canonical copy, one group per base and apex pair, as
+    (base, base mask, apex a, apex b, spines).
+
+    ``spines`` lists (tail, spine edge mask) for every edge through both
+    apexes, and each one that misses the base completes a copy; callers skip
+    those that meet it.  The walk goes base -> apex a -> apex b -> spine,
+    each level in lexicographic order, so copies come out in
+    ``TriangleCopy.sort_key`` order and the first copy met on a vertex set is
+    its least witness; a base's groups, and within them an apex a's, come
+    out consecutively.  For k=2 only the copy whose base is the least vertex
+    of its triangle is canonical.
     """
     k = H.k
-    spines: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = {}
+    # spines[a][b]: the edges through apexes a < b, in edge order
+    spines: list[dict[int, list[_Spine]]] = [{} for _ in range(H.n)]
     for a in range(H.n):
+        through_a = spines[a]
         for e in H.vertex_edges(a):
             em = _mask(e)
             for b in e:
                 if b > a:
                     tail = tuple(v for v in e if v != a and v != b)
-                    spines.setdefault((a, b), []).append((tail, em))
+                    through_a.setdefault(b, []).append((tail, em))
     for base, nbrs in sorted(H._neighborhood_index().items()):
         if len(nbrs) < 2:
             continue
@@ -171,10 +183,13 @@ def _copies(H: KGraph) -> Iterator[tuple[tuple[int, ...], int, int, tuple[int, .
         lo = bisect_right(nbrs, base[0]) if k == 2 else 0
         for i in range(lo, len(nbrs)):
             a = nbrs[i]
+            through_a = spines[a]
+            if not through_a:
+                continue
             for b in nbrs[i + 1:]:
-                for tail, em in spines.get((a, b), ()):
-                    if not em & bm:
-                        yield base, a, b, tail, bm | em
+                pair = through_a.get(b)
+                if pair is not None:
+                    yield base, bm, a, b, pair
 
 
 def enumerate_copies(
@@ -186,18 +201,24 @@ def enumerate_copies(
 
     One representative per unlabelled subgraph copy.  Exceeding ``cap`` raises
     BudgetExceeded carrying the partial count; results are never silently
-    truncated.
+    truncated.  The copies of one base and apex pair share their apex tuple.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
     outside = 0 if restrict is None else ~_mask(canonical_vertex_set(restrict))
     out = []
-    for base, a, b, tail, m in _copies(H):
-        if m & outside:
+    for base, bm, a, b, spines in _copies(H):
+        if bm & outside:
             continue
-        out.append(TriangleCopy(base, (a, b), tail))
-        if len(out) > cap:
-            raise BudgetExceeded(f"copy count exceeds cap {cap}", partial_count=len(out))
+        apexes = (a, b)
+        barred = bm | outside  # a spine meeting these leaves the base or restrict
+        for tail, em in spines:
+            if not em & barred:
+                out.append(TriangleCopy(base, apexes, tail))
+                if len(out) > cap:
+                    raise BudgetExceeded(
+                        f"copy count exceeds cap {cap}", partial_count=len(out)
+                    )
     return out
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 from . import exact
 from .core import KGraph, _mask
 from .errors import BudgetExceeded, InvalidFamily
-from .patterns import TriangleCopy, Tiling, _copies
+from .patterns import TriangleCopy, Tiling, _copies, _mask_vertices
 
 
 @dataclass(frozen=True)
@@ -98,18 +98,27 @@ def _bipartite_saturates(slot_hosts: list[int]) -> bool:
     return True
 
 
+def _hall_pair(x: int, y: int) -> bool:
+    """Hall's condition for the two base slots alone, with host bitmasks x
+    and y: each sees a host and together they see two."""
+    return x != 0 and y != 0 and (x | y).bit_count() >= 2
+
+
+def _hall_spine(x: int, y: int, xy: int, z: int) -> bool:
+    """The rest of ``_hall_triple`` once ``_hall_pair(x, y)`` holds, with
+    ``xy == x | y``: every subfamily holding the spine slot z."""
+    return (
+        z != 0
+        and (x | z).bit_count() >= 2
+        and (y | z).bit_count() >= 2
+        and (xy | z).bit_count() >= 3
+    )
+
+
 def _hall_triple(x: int, y: int, z: int) -> bool:
     """Hall's condition for three slots with host bitmasks x, y, z: every
     nonempty subfamily of slots sees at least as many hosts as it has slots."""
-    return (
-        x != 0
-        and y != 0
-        and z != 0
-        and (x | y).bit_count() >= 2
-        and (x | z).bit_count() >= 2
-        and (y | z).bit_count() >= 2
-        and (x | y | z).bit_count() >= 3
-    )
+    return _hall_pair(x, y) and _hall_spine(x, y, x | y, z)
 
 
 def _lex_least_assignment(slot_hosts: list[int]) -> list[int]:
@@ -140,10 +149,12 @@ def rainbow_perfect_tiling(
     Sound and complete within budget: exact cover over vertices on copies of
     the union, pruned whenever the partial slot/host bipartite graph has no
     saturating matching.  A family whose hosts cannot take distinct union
-    edges is ruled out first, without search.  Copies stay plain tuples;
-    each union edge, keyed by its vertex mask, carries the bitmask of the
-    hosts containing it, and only the chosen copies become ``TriangleCopy``
-    objects.
+    edges is ruled out first, without search.  Each union edge, keyed by its
+    vertex mask, carries the bitmask of the hosts containing it.  The rows
+    come from the copy walk one base and apex pair at a time: a row is its
+    vertex mask plus its pair's base, apexes and base-edge hosts, the tail
+    and the spine's hosts are read back from the mask, and only the chosen
+    copies become ``TriangleCopy`` objects.
     """
     n, k = family.n, family.k
     s = 2 * k - 1
@@ -171,44 +182,89 @@ def rainbow_perfect_tiling(
             edge_hosts[em] = edge_hosts.get(em, 0) | 1 << i
 
     # Usable copies, in the canonical order ``_copies`` yields them: a copy
-    # is usable iff its three edge slots can take distinct hosts.
-    usable: list[tuple[tuple[int, ...], int, int, tuple[int, ...]]] = []
-    hosts: list[tuple[int, int, int]] = []  # per usable copy, in slot order
+    # is usable iff its three edge slots can take distinct hosts.  The hosts
+    # of the base edges are looked up once per apex pair, and a row keeps
+    # only its mask and its pair's (base, base mask, a, b, x, y), from which
+    # the chosen rows' tails and spine hosts are read back.  The rows of a
+    # base (of a base and apex a) reach its vertices (reach a) in one
+    # extend; rows are numbered in order, so every vertex's rows come out
+    # sorted.
+    pairs: list[tuple[tuple[int, ...], int, int, int, int, int]] = []  # per usable row
     masks: list[int] = []
     by_vertex: dict[int, list[int]] = {v: [] for v in range(n)}
     servable = 0  # hosts that can serve some slot of a usable copy
-    base_prev, bm = None, 0
-    for base, a, b, tail, mask in _copies(union):
-        if base is not base_prev:  # a base's copies come out consecutively
-            base_prev, bm = base, _mask(base)
-        x = edge_hosts[bm | 1 << a]
+    block_base: tuple[int, ...] = ()
+    block_a = -1
+    base_rows: list[int] = []  # usable rows of block_base
+    a_rows: list[int] = []  # usable rows of block_base with apex block_a
+
+    def close_apex() -> None:
+        if a_rows:
+            by_vertex[block_a].extend(a_rows)
+            base_rows.extend(a_rows)
+            a_rows.clear()
+
+    def close_base() -> None:
+        if base_rows:
+            for v in block_base:
+                by_vertex[v].extend(base_rows)
+            base_rows.clear()
+
+    for base, bm, a, b, spines in _copies(union):
+        if a != block_a or base is not block_base:
+            close_apex()
+            if base is not block_base:
+                close_base()
+                block_base = base
+            block_a = a
+            x = edge_hosts[bm | 1 << a]
         y = edge_hosts[bm | 1 << b]
-        z = edge_hosts[mask & ~bm]
-        if not _hall_triple(x, y, z):
+        if not _hall_pair(x, y):
             continue
-        r = len(usable)
-        for v in (*base, a, b, *tail):
-            by_vertex[v].append(r)
-        usable.append((base, a, b, tail))
-        hosts.append((x, y, z))
-        masks.append(mask)
-        servable |= x | y | z
+        xy = x | y
+        pair = (base, bm, a, b, x, y)
+        for tail, em in spines:
+            if em & bm:
+                continue
+            z = edge_hosts[em]
+            if not _hall_spine(x, y, xy, z):
+                continue
+            r = len(masks)
+            by_vertex[b].append(r)
+            for v in tail:
+                by_vertex[v].append(r)
+            a_rows.append(r)
+            pairs.append(pair)
+            masks.append(bm | em)
+            servable |= xy | z
+    close_apex()
+    close_base()
     # A rainbow tiling uses every host exactly once.
     if servable != (1 << m) - 1:
         return None
 
+    def slot_hosts(rows: list[int]) -> list[int]:
+        """The host bitmasks of the rows' slots, copy by copy in slot order."""
+        out = []
+        for r in rows:
+            _, bm, _, _, x, y = pairs[r]
+            out += (x, y, edge_hosts[masks[r] ^ bm])
+        return out
+
     def fits(chosen: list[int]) -> bool:
-        return _bipartite_saturates([hp for q in chosen for hp in hosts[q]])
+        return _bipartite_saturates(slot_hosts(chosen))
 
     rows = exact._CoverSearch(range(n), by_vertex, masks, budget, fits).run()
     if rows is None:
         return None
     rows.sort()  # row order is the canonical copy order
-    chosen_copies = tuple(
-        TriangleCopy(base, (a, b), tail) for base, a, b, tail in (usable[r] for r in rows)
-    )
-    assignment = _lex_least_assignment([hp for r in rows for hp in hosts[r]])
-    return RainbowTiling(Tiling(chosen_copies, n), tuple(assignment))
+    chosen_copies = []
+    for r in rows:
+        base, bm, a, b, _, _ = pairs[r]
+        tail = _mask_vertices(masks[r] ^ bm ^ 1 << a ^ 1 << b)
+        chosen_copies.append(TriangleCopy(base, (a, b), tail))
+    assignment = _lex_least_assignment(slot_hosts(rows))
+    return RainbowTiling(Tiling(tuple(chosen_copies), n), tuple(assignment))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from tritile.patterns import generalized_triangle
 from tritile.rainbow import (
     GraphFamily,
     _bipartite_saturates,
+    _hall_pair,
+    _hall_spine,
     _hall_triple,
     color_covering_homomorphism,
     rainbow_perfect_tiling,
@@ -69,8 +71,14 @@ def test_rainbow_edge_scarcity_forces_none():
 
 
 def test_hall_triple_equals_matching_over_four_hosts():
-    for x, y, z in itertools.product(range(16), repeat=3):
-        assert _hall_triple(x, y, z) == _bipartite_saturates([x, y, z]), (x, y, z)
+    for x, y in itertools.product(range(16), repeat=2):
+        pair = _hall_pair(x, y)
+        assert pair == _bipartite_saturates([x, y]), (x, y)
+        for z in range(16):
+            triple = _bipartite_saturates([x, y, z])
+            assert _hall_triple(x, y, z) == triple, (x, y, z)
+            if pair:  # the per-row part, as the rainbow search applies it
+                assert _hall_spine(x, y, x | y, z) == triple, (x, y, z)
 
 
 def _brute_rainbow_k3(family) -> bool:
