@@ -166,16 +166,14 @@ def _copies(
     of its triangle is canonical.
     """
     k = H.k
-    # spines[a][b]: the edges through apexes a < b, in edge order
-    spines: list[dict[int, list[_Spine]]] = [{} for _ in range(H.n)]
+    spines: dict[tuple[int, int], list[_Spine]] = {}
     for a in range(H.n):
-        through_a = spines[a]
         for e in H.vertex_edges(a):
             em = _mask(e)
             for b in e:
                 if b > a:
                     tail = tuple(v for v in e if v != a and v != b)
-                    through_a.setdefault(b, []).append((tail, em))
+                    spines.setdefault((a, b), []).append((tail, em))
     for base, nbrs in sorted(H._neighborhood_index().items()):
         if len(nbrs) < 2:
             continue
@@ -183,11 +181,8 @@ def _copies(
         lo = bisect_right(nbrs, base[0]) if k == 2 else 0
         for i in range(lo, len(nbrs)):
             a = nbrs[i]
-            through_a = spines[a]
-            if not through_a:
-                continue
             for b in nbrs[i + 1:]:
-                pair = through_a.get(b)
+                pair = spines.get((a, b))
                 if pair is not None:
                     yield base, bm, a, b, pair
 
@@ -211,7 +206,7 @@ def enumerate_copies(
         if bm & outside:
             continue
         apexes = (a, b)
-        barred = bm | outside  # a spine meeting these leaves the base or restrict
+        barred = bm | outside  # a spine meeting these meets the base or leaves restrict
         for tail, em in spines:
             if not em & barred:
                 out.append(TriangleCopy(base, apexes, tail))

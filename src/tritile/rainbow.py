@@ -9,6 +9,8 @@ hosts after the fact fails on adversarial families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from . import exact
@@ -183,62 +185,45 @@ def rainbow_perfect_tiling(
 
     # Usable copies, in the canonical order ``_copies`` yields them: a copy
     # is usable iff its three edge slots can take distinct hosts.  The hosts
-    # of the base edges are looked up once per apex pair, and a row keeps
-    # only its mask and its pair's (base, base mask, a, b, x, y), from which
-    # the chosen rows' tails and spine hosts are read back.  The rows of a
-    # base (of a base and apex a) reach its vertices (reach a) in one
-    # extend; rows are numbered in order, so every vertex's rows come out
-    # sorted.
+    # of the base edges are looked up once per apex, and a row keeps only
+    # its mask and its pair's (base, base mask, a, b, x, y), from which the
+    # chosen rows' tails and spine hosts are read back.  A base's rows (a
+    # base and apex a's rows) come out consecutively and reach its vertices
+    # (reach a) in one extend; rows are numbered in order, so every
+    # vertex's rows come out sorted.
     pairs: list[tuple[tuple[int, ...], int, int, int, int, int]] = []  # per usable row
     masks: list[int] = []
     by_vertex: dict[int, list[int]] = {v: [] for v in range(n)}
     servable = 0  # hosts that can serve some slot of a usable copy
-    block_base: tuple[int, ...] = ()
-    block_a = -1
-    base_rows: list[int] = []  # usable rows of block_base
-    a_rows: list[int] = []  # usable rows of block_base with apex block_a
-
-    def close_apex() -> None:
-        if a_rows:
-            by_vertex[block_a].extend(a_rows)
-            base_rows.extend(a_rows)
-            a_rows.clear()
-
-    def close_base() -> None:
-        if base_rows:
-            for v in block_base:
-                by_vertex[v].extend(base_rows)
-            base_rows.clear()
-
-    for base, bm, a, b, spines in _copies(union):
-        if a != block_a or base is not block_base:
-            close_apex()
-            if base is not block_base:
-                close_base()
-                block_base = base
-            block_a = a
+    for (base, bm), base_groups in groupby(_copies(union), itemgetter(0, 1)):
+        base_rows: list[int] = []
+        for a, a_groups in groupby(base_groups, itemgetter(2)):
             x = edge_hosts[bm | 1 << a]
-        y = edge_hosts[bm | 1 << b]
-        if not _hall_pair(x, y):
-            continue
-        xy = x | y
-        pair = (base, bm, a, b, x, y)
-        for tail, em in spines:
-            if em & bm:
-                continue
-            z = edge_hosts[em]
-            if not _hall_spine(x, y, xy, z):
-                continue
-            r = len(masks)
-            by_vertex[b].append(r)
-            for v in tail:
-                by_vertex[v].append(r)
-            a_rows.append(r)
-            pairs.append(pair)
-            masks.append(bm | em)
-            servable |= xy | z
-    close_apex()
-    close_base()
+            a_rows: list[int] = []
+            for _, _, _, b, spines in a_groups:
+                y = edge_hosts[bm | 1 << b]
+                if not _hall_pair(x, y):
+                    continue
+                xy = x | y
+                pair = (base, bm, a, b, x, y)
+                for tail, em in spines:
+                    if em & bm:
+                        continue
+                    z = edge_hosts[em]
+                    if not _hall_spine(x, y, xy, z):
+                        continue
+                    r = len(masks)
+                    by_vertex[b].append(r)
+                    for v in tail:
+                        by_vertex[v].append(r)
+                    a_rows.append(r)
+                    pairs.append(pair)
+                    masks.append(bm | em)
+                    servable |= xy | z
+            by_vertex[a] += a_rows
+            base_rows += a_rows
+        for v in base:
+            by_vertex[v] += base_rows
     # A rainbow tiling uses every host exactly once.
     if servable != (1 << m) - 1:
         return None

@@ -343,7 +343,9 @@ COPY_HOSTS = {
 COPY_PINS = {
     ("ext(3,20)", None): "2cd02466c9c12e59e557cabb860ec731bf44d9ecd9e896898b770891b8eba089",
     ("K7^(2)", None): "7424220440701a6fe0f6103ff62e41d191880bc3bae167b050940ecce86a0af6",
-    ("K7^(2)", (1, 2, 3, 4, 5, 6)): "e4b8e7b05e1859cbffcc36aa18246701c8fa81eb52cd5c2cdcd4e1a875891e73",
+    ("K7^(2)", (1, 2, 3, 4, 5, 6)): (
+        "e4b8e7b05e1859cbffcc36aa18246701c8fa81eb52cd5c2cdcd4e1a875891e73"
+    ),
     ("K7^(4)", None): "c6fdc65e83196b7f7ddde7db86b10334cc0bcd4f7ecc74ccd63ed9798aab1636",
 }
 
