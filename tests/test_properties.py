@@ -3,7 +3,8 @@
 Each property ties two layers that share no decision code: the exact
 simplex (fractional verdicts, Farkas certificates, the packing LP), the
 exact-cover search run without its fractional prefilter, the branch and
-bound, and the independent validators.
+bound, and the independent validators.  The cover search is also checked
+against the plain re-filtering search in ``oracles``.
 """
 
 import itertools
@@ -11,10 +12,9 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import pytest
 
 from tritile import fractional
 from tritile.core import KGraph, complete_kgraph
