@@ -28,8 +28,15 @@ show("complete host on 15 vertices (gamma = 1, vacuous witness)",
 show("tight instance (3, 15): must fail, no perfect tiling exists",
      extremal_pipeline(extremal_construction(3, 15).graph, Fraction(0)))
 
-inst = extremal_construction(3, 15)
-edges = set(inst.graph.edges) | set(itertools.combinations(inst.B, 3))
-crafted = KGraph(15, 3, edges)
+
+def crafted(k, n):
+    """The tight instance plus every k-set of its B side."""
+    inst = extremal_construction(k, n)
+    return KGraph(n, k, set(inst.graph.edges) | set(itertools.combinations(inst.B, k)))
+
+
 show("tight instance plus a complete B side: tiling restored",
-     extremal_pipeline(crafted, Fraction(1)))
+     extremal_pipeline(crafted(3, 15), Fraction(1)))
+
+show("the same for k=4 on 21 vertices: J read off the host's set index",
+     extremal_pipeline(crafted(4, 21), Fraction(1)))

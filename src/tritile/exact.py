@@ -33,7 +33,6 @@ from .patterns import (
     _rows_by_vertex,
     _set_index,
     supporting_sets,
-    supports_triangle,
 )
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -446,25 +445,24 @@ def build_auxiliary_graph(
     cap: int = DEFAULT_COPY_CAP,
 ) -> AuxiliaryGraph:
     """All (2k-1)-sets with 2k-3 vertices in A and 2 in B supporting the
-    pattern, each with one stored witness copy."""
+    pattern, each with its least witness copy.
+
+    For disjoint A and B these are the rows of the host's set index that lie
+    inside A and B together and meet B twice.  ``cap`` bounds the host's
+    supporting sets: more than ``cap`` raises BudgetExceeded with
+    ``partial_count == cap + 1``.
+    """
     A = canonical_vertex_set(A)
     B = canonical_vertex_set(B)
-    k = H.k
-    total = comb(len(A), 2 * k - 3) * comb(len(B), 2)
-    if total > cap:
-        raise BudgetExceeded(
-            f"{total} candidate sets exceed cap {cap}", partial_count=0
-        )
-    edges = []
-    copy_map = {}
-    for part_a in itertools.combinations(A, 2 * k - 3):
-        for part_b in itertools.combinations(B, 2):
-            S = tuple(sorted(part_a + part_b))
-            witness = supports_triangle(H, S)
-            if witness is not None:
-                edges.append(S)
-                copy_map[S] = witness
-    return AuxiliaryGraph(KGraph(H.n, 2 * k - 1, edges), A, B, copy_map)
+    index = _set_index(H, cap)
+    b_mask = _mask(B)
+    outside = ~(_mask(A) | b_mask)
+    copy_map = {
+        vs: witness
+        for (vs, witness), m in zip(index.sets(), index.masks)
+        if not m & outside and (m & b_mask).bit_count() == 2
+    }
+    return AuxiliaryGraph(KGraph(H.n, 2 * H.k - 1, copy_map), A, B, copy_map)
 
 
 # -- the extremal-case pipeline -------------------------------------------------
@@ -582,11 +580,7 @@ def extremal_pipeline(
     x_threshold = Fraction(n ** (k - 1), s ** k)
     X = []
     for v in sorted(set(range(n)) - S_members):
-        cnt = sum(
-            1
-            for e in H.vertex_edges(v)
-            if sum(1 for u in e if u in S_members) == k - 1 and v not in S_members
-        )
+        cnt = sum(1 for e in H.vertex_edges(v) if sum(1 for u in e if u in S_members) == k - 1)
         if cnt < x_threshold:
             X.append(v)
     X = tuple(X)
@@ -628,11 +622,8 @@ def extremal_pipeline(
         nb_b = [v for v in H.neighborhood(zw) if v in b_members]
         copy = None
         if gamma_quarter.count_at_least(len(nb_b), n):
-            common = [
-                y
-                for y in nb_b
-                if y not in v_of_m and y not in used and y in set(H.neighborhood(q))
-            ]
+            q_nbrs = set(H.neighborhood(q))
+            common = [y for y in nb_b if y not in v_of_m and y not in used and y in q_nbrs]
             if common:
                 y = common[0]
                 copy = TriangleCopy(q, (w, y), z)
@@ -659,9 +650,8 @@ def extremal_pipeline(
         used.update(copy.vertices)
     ok("Tk-for-X", f"copies={len(copies_for_x)}")
 
-    covered_now = used | {v for c in copies_for_x for v in c.vertices}
-    A_rest = tuple(v for v in A if v not in covered_now)
-    B_rest = tuple(v for v in B if v not in covered_now)
+    A_rest = tuple(v for v in A if v not in used)
+    B_rest = tuple(v for v in B if v not in used)
     n1 = n - s * len(X)
     if len(A_rest) * 2 != (2 * k - 3) * len(B_rest) or len(A_rest) + len(B_rest) != n1:
         return fail(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -109,42 +110,26 @@ class Tiling:
         }
 
 
-def _canonical_copy(base, apexes, tail, k: int) -> TriangleCopy:
-    copy = TriangleCopy(tuple(base), tuple(apexes), tuple(tail))
-    if k > 2:
-        return copy
-    # k=2: the triangle's three edges are interchangeable; fix the least
-    # decomposition so dedup works.
-    best = None
-    verts = copy.vertices
-    for a, b in itertools.permutations(verts, 2):
-        if a >= b:
-            continue
-        base_v = tuple(v for v in verts if v not in (a, b))
-        cand = (base_v, (a, b), ())
-        if best is None or cand < best:
-            best = cand
-    return TriangleCopy(*best)
-
-
 def supports_triangle(H: KGraph, S: Iterable[int]) -> Optional[TriangleCopy]:
-    """Least copy inside the (2k-1)-set S, or None if H[S] has no copy."""
+    """Least copy inside the (2k-1)-set S, or None if H[S] has no copy.
+
+    A search of S alone that never reads the host's set index: bases in
+    lexicographic order, a base only when the rest of S (its spine) is an
+    edge, then apex pairs on the spine in lexicographic order.  The first
+    copy met is the least one; for k=2 its base is the least vertex of S.
+    """
     s = canonical_vertex_set(S)
     k = H.k
     if len(s) != 2 * k - 1:
         raise InvalidArity(f"need {2 * k - 1} distinct vertices, got {len(s)}")
-    best = None
     for base in itertools.combinations(s, k - 1):
-        rest = tuple(v for v in s if v not in base)
-        for a, b in itertools.combinations(rest, 2):
-            if not (H.has_edge(base + (a,)) and H.has_edge(base + (b,))):
-                continue
-            tail = tuple(v for v in rest if v != a and v != b)
-            if H.has_edge((a, b) + tail):
-                cand = _canonical_copy(base, (a, b), tail, k)
-                if best is None or cand.sort_key() < best.sort_key():
-                    best = cand
-    return best
+        spine = tuple(v for v in s if v not in base)
+        if not H.has_edge(spine):
+            continue
+        for a, b in itertools.combinations(spine, 2):
+            if H.has_edge(base + (a,)) and H.has_edge(base + (b,)):
+                return TriangleCopy(base, (a, b), tuple(v for v in spine if v != a and v != b))
+    return None
 
 
 _Spine = tuple[tuple[int, ...], int]  # (tail, spine edge mask)
@@ -397,30 +382,6 @@ def _check_set_cap(count: int, cap: int) -> None:
         )
 
 
-def validate_copy(H: KGraph, copy: TriangleCopy) -> bool:
-    """Structural check of a copy against its host (edge-sharing pattern)."""
-    k = H.k
-    if len(copy.base) != k - 1 or len(copy.tail) != k - 2:
-        return False
-    verts = copy.base + copy.apexes + copy.tail
-    if len(set(verts)) != 2 * k - 1:
-        return False
-    if min(verts) < 0 or max(verts) >= H.n:
-        return False
-    e1, e2, spine = copy.edges
-    if len({e1, e2, spine}) != 3:
-        return False
-    if not (H.has_edge(e1) and H.has_edge(e2) and H.has_edge(spine)):
-        return False
-    if set(e1) & set(e2) != set(copy.base):
-        return False
-    if set(copy.apexes) - set(spine):
-        return False
-    if set(copy.base) & set(spine):
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class TightPathCount:
     total: int
@@ -428,6 +389,8 @@ class TightPathCount:
 
 
 def count_tight_2paths(H: KGraph, coloring: Optional[dict] = None) -> TightPathCount:
+    """Pairs of edges sharing k-1 vertices, and with a coloring of the edges,
+    those pairs whose two edges differ in color."""
     if coloring is not None:
         dom = {tuple(sorted(e)) for e in coloring}
         if dom != set(H.edges):
@@ -435,22 +398,12 @@ def count_tight_2paths(H: KGraph, coloring: Optional[dict] = None) -> TightPathC
         coloring = {tuple(sorted(e)): c for e, c in coloring.items()}
     total = 0
     rainbow = 0 if coloring is not None else None
-    idx: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for e in H.edges:
-        for i in range(H.k):
-            idx.setdefault(e[:i] + e[i + 1:], []).append(e)
-    for group in idx.values():
-        d = len(group)
-        if d < 2:
-            continue
-        total += d * (d - 1) // 2
-        if coloring is not None:
-            by_color: dict = {}
-            for e in group:
-                c = coloring[e]
-                by_color[c] = by_color.get(c, 0) + 1
-            mono = sum(m * (m - 1) // 2 for m in by_color.values())
-            rainbow += d * (d - 1) // 2 - mono
+    for q, nbrs in H._neighborhood_index().items():
+        pairs = len(nbrs) * (len(nbrs) - 1) // 2
+        total += pairs
+        if coloring is not None and pairs:
+            by_color = Counter(coloring[tuple(sorted(q + (v,)))] for v in nbrs)
+            rainbow += pairs - sum(m * (m - 1) // 2 for m in by_color.values())
     return TightPathCount(total, rainbow)
 
 

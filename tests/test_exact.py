@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -21,7 +23,7 @@ from tritile.exact import (
 from tritile.lattice import VertexPartition, perfectly_tilable, robust_vectors
 from tritile.rainbow import GraphFamily, rainbow_perfect_tiling
 from tritile.fractional import packing_lp_value, perfect_fractional_tiling, FractionalTiling
-from tritile.validate import check_matching, check_tiling
+from tritile.validate import check_copy, check_matching, check_tiling
 
 from oracles import oracle_perfect_tiling
 
@@ -199,6 +201,15 @@ def test_build_auxiliary_graph_counts():
     assert aux3.graph.edge_count() == 0
 
 
+def test_build_auxiliary_graph_cap_bounds_the_host_sets():
+    # K8^(3) has 56 supporting sets; J on A = 0..4, B = 5..7 would have 30
+    with pytest.raises(BudgetExceeded) as blown:
+        build_auxiliary_graph(complete_kgraph(8, 3), range(5), range(5, 8), cap=10)
+    assert blown.value.partial_count == 11
+    aux = build_auxiliary_graph(complete_kgraph(8, 3), range(5), range(5, 8), cap=56)
+    assert aux.graph.edge_count() == comb(5, 3) * comb(3, 2)
+
+
 def test_pipeline_complete_success():
     res = extremal_pipeline(complete_kgraph(15, 3), Fraction(1))
     assert res.succeeded
@@ -367,3 +378,147 @@ def test_packing_bound_budget_matches_node_count():
     assert status(7) == "robust"
     assert status(6) == "unknown"
     assert status(0) == "unknown"
+
+
+# -- byte-identity pins for the auxiliary graph and the pipeline ---------------
+
+
+def _crafted(k, n):
+    """The ext(k, n) host plus every k-set of B, as in demo 05."""
+    inst = extremal_construction(k, n)
+    return KGraph(n, k, set(inst.graph.edges) | set(itertools.combinations(inst.B, k)))
+
+
+def _split(H):
+    """H with its first (2k-3)n/(2k-1) vertices as A and the rest as B: the
+    split the pipeline builds J on when X is empty."""
+    a = (2 * H.k - 3) * H.n // (2 * H.k - 1)
+    return H, tuple(range(a)), tuple(range(a, H.n))
+
+
+def _sparse_vertex(n, k, seed):
+    """The complete host less the edges of vertex n-1 with k-1 vertices in the
+    pipeline's witness (its first (2k-3)n/(2k-1) vertices) but one, and less
+    a seeded 30 % of the rest: with gamma 1 the X stage keeps vertex n-1, so
+    the matching-M and Tk-for-X stages each place one."""
+    rng = random.Random(seed)
+    witness = range((2 * k - 3) * n // (2 * k - 1))
+    edges, kept = [], 0
+    for e in itertools.combinations(range(n), k):
+        if n - 1 in e and sum(v in witness for v in e) == k - 1:
+            if not kept:
+                kept = 1
+                edges.append(e)
+        elif rng.random() >= 0.3:
+            edges.append(e)
+    return KGraph(n, k, edges)
+
+
+AUX_HOSTS = {
+    "crafted(3,15)": lambda: _split(_crafted(3, 15)),
+    "crafted(3,20)": lambda: _split(_crafted(3, 20)),
+    "crafted(3,25)": lambda: _split(_crafted(3, 25)),
+    "crafted(4,14)": lambda: _split(_crafted(4, 14)),
+    "seeded(15,3,3,0)": lambda: _split(random_with_codegree(15, 3, 3, seed=0)),
+    "seeded(15,3,5,1)": lambda: _split(random_with_codegree(15, 3, 5, seed=1)),
+    "seeded(15,3,6,2)": lambda: _split(random_with_codegree(15, 3, 6, seed=2)),
+    "seeded(14,4,4,0)": lambda: _split(random_with_codegree(14, 4, 4, seed=0)),
+}
+
+# sha256 of the auxiliary graph's edges, A and B plus each edge's witness, in
+# edge order, taken while J was built by testing every candidate set.
+AUX_PINS = {
+    "crafted(3,15)": "818f3aebee5d1846d13e2ef5a8ca35bda8ee1d1697a02148b79449cafbd89f53",
+    "crafted(3,20)": "e260e38ea1fde0d184b2657a8efb953007aa64b0e50a86e70f2ddcaf8c48034b",
+    "crafted(3,25)": "e32316678646c6cc6711febcba384807e2757be18599e6c19cc692371ab1958e",
+    "crafted(4,14)": "5d7dc6424dc6881af59894851b458560bc417ac122daa1892e87d1bbc4a2a243",
+    "seeded(15,3,3,0)": "7a02270e4535a5f5da3761a4d27df266e3244737c247f77b90a1e4aa8a868eab",
+    "seeded(15,3,5,1)": "180ca932af0dba25bc917d1230f9aa8dd8fbd401fbe507e67e05b370d9667baf",
+    "seeded(15,3,6,2)": "f83b19f0d9770765a1be7f5ac50db0a0c7a6428044ff50da9029c956390ca578",
+    "seeded(14,4,4,0)": "ce62940f17396958fbf53f2826a57d938f1b30b87657cb5147ced0e3d5c3e10a",
+}
+
+# host, gamma, keyword arguments
+PIPELINE_CASES = {
+    "crafted(3,15)": (lambda: _crafted(3, 15), Fraction(1), {}),
+    "crafted(3,20)": (lambda: _crafted(3, 20), Fraction(1), {}),
+    "crafted(3,25)": (lambda: _crafted(3, 25), Fraction(1), {}),
+    "crafted(4,14)": (lambda: _crafted(4, 14), Fraction(1), {}),
+    "seeded(15,3,3,0)": (lambda: random_with_codegree(15, 3, 3, seed=0), Fraction(1), {}),
+    "seeded(15,3,5,1)": (lambda: random_with_codegree(15, 3, 5, seed=1), Fraction(1), {}),
+    "seeded(15,3,6,2)": (lambda: random_with_codegree(15, 3, 6, seed=2), Fraction(1), {}),
+    "seeded(14,4,4,0)": (lambda: random_with_codegree(14, 4, 4, seed=0), Fraction(1), {}),
+    "sparse-vertex(15,3)": (lambda: _sparse_vertex(15, 3, 1), Fraction(1), {}),
+    "sparse-vertex(15,3) gamma'=1/10": (
+        lambda: _sparse_vertex(15, 3, 1),
+        Fraction(1),
+        {"gamma_prime": Fraction(1, 10)},
+    ),
+    "sparse-vertex(14,4) gamma'=1/10": (
+        lambda: _sparse_vertex(14, 4, 1),
+        Fraction(1),
+        {"gamma_prime": Fraction(1, 10)},
+    ),
+    "demo05 K15^(3)": (lambda: complete_kgraph(15, 3), Fraction(1), {}),
+    "demo05 ext(3,15)": (lambda: extremal_construction(3, 15).graph, Fraction(0), {}),
+    "demo05 crafted(3,15)": (lambda: _crafted(3, 15), Fraction(1), {}),
+}
+
+# sha256 of ``extremal_pipeline(...).to_json()``, taken while J was built by
+# testing every candidate set.
+PIPELINE_PINS = {
+    "crafted(3,15)": "6fcb57e6de0cb7bf200dc111dfba97b20815266c0a3512111e64f3f02184fcc5",
+    "crafted(3,20)": "607a4af71db81f0008587769cfb51fa545604d21b702e54e75ae2f3d0fc4ffbe",
+    "crafted(3,25)": "0c8085ef1c887c2879c9c64f10b9dc014356c245b316c76f00866d55b0734eab",
+    "crafted(4,14)": "88585aa155dc44b5e1c801c8d7c5d287178f6c16995393092cd797880a0e2c57",
+    "seeded(15,3,3,0)": "e83466d1541ea74d4581ebe1f86c9ac4533cc6699bcdb0eb6b2bc0d2d443b899",
+    "seeded(15,3,5,1)": "4a07e9c5c7e71371358569c935b9bb7b9efcbc32703399e60b37129f87b462ff",
+    "seeded(15,3,6,2)": "9d245c600343e00593395c3d5754bb8c4e1fb9ccd81de5348da406936b87d7d7",
+    "seeded(14,4,4,0)": "d748356d24a1ea531fe9a19599dfeb76f726953b0a52d744ba72c6e9767e5c06",
+    "sparse-vertex(15,3)": "5b6c4846d78974fe5c7938cc7ccbcfe8a706db897f8dcc47c22494418241307a",
+    "sparse-vertex(15,3) gamma'=1/10": (
+        "500c9ddfe14bc03f92427d4bf9e91864557120c9f0b4c0154f60f82278edb7a7"
+    ),
+    "sparse-vertex(14,4) gamma'=1/10": (
+        "b4904a8b1acef0fa76cb2d8f75e6134593aa13c011aa7d7857be1eb6b681137a"
+    ),
+    "demo05 K15^(3)": "6fcb57e6de0cb7bf200dc111dfba97b20815266c0a3512111e64f3f02184fcc5",
+    "demo05 ext(3,15)": "4c5a2c1c1e3edd130b07a58fe3b4c0996b9a1172ee24496a4a7604c88a60c956",
+    "demo05 crafted(3,15)": "6fcb57e6de0cb7bf200dc111dfba97b20815266c0a3512111e64f3f02184fcc5",
+}
+
+# crafted(4,21), the k=4 n=21 pipeline, at gamma 1
+CRAFTED_4_21_PIN = "1e219c6d6709ea5bbc846b3300c4bbf41a01c6f560e4d25a459a8e4849bee6b7"
+
+
+def _sha256(obj) -> str:
+    text = json.dumps(obj, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _aux_digest(aux) -> str:
+    assert set(aux.copy_map) == set(aux.graph.edges)
+    copies = [aux.copy_map[e].to_json() for e in aux.graph.edges]
+    return _sha256({"aux": aux.to_json(), "copies": copies})
+
+
+@pytest.mark.parametrize("name", sorted(AUX_HOSTS))
+def test_build_auxiliary_graph_pins(name):
+    H, A, B = AUX_HOSTS[name]()
+    aux = build_auxiliary_graph(H, A, B)
+    assert all(check_copy(H, aux.copy_map[e]) for e in aux.graph.edges)
+    assert _aux_digest(aux) == AUX_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
+def test_extremal_pipeline_pins(name):
+    host, gamma, kwargs = PIPELINE_CASES[name]
+    assert _sha256(extremal_pipeline(host(), gamma, **kwargs).to_json()) == PIPELINE_PINS[name]
+
+
+def test_extremal_pipeline_decides_k4_n21():
+    H = _crafted(4, 21)
+    result = extremal_pipeline(H, Fraction(1))
+    assert result.succeeded
+    assert check_tiling(H, result.tiling, require_perfect=True)
+    assert _sha256(result.to_json()) == CRAFTED_4_21_PIN

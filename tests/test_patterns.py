@@ -23,7 +23,6 @@ from tritile.patterns import (
     supporting_sets,
     set_masks,
     supports_triangle,
-    validate_copy,
 )
 from tritile.rainbow import GraphFamily
 from tritile.validate import brute_perfectly_tilable, brute_supports, check_copy
@@ -57,7 +56,7 @@ def test_supports_on_extremal_two_a_vertices():
     S = (0, 1, 6, 7, 8)  # two vertices in A
     copy = supports_triangle(inst.graph, S)
     assert copy is not None
-    assert validate_copy(inst.graph, copy)
+    assert check_copy(inst.graph, copy)
 
 
 def test_supports_inside_b_is_none():
@@ -139,7 +138,7 @@ def test_copy_count_invariant_under_relabelling():
 def test_all_enumerated_copies_validate(small_corpus):
     for _, H in small_corpus[:10]:
         for c in enumerate_copies(H):
-            assert validate_copy(H, c)
+            assert check_copy(H, c)
 
 
 def test_supporting_sets_match_enumeration(small_corpus):
@@ -149,7 +148,7 @@ def test_supporting_sets_match_enumeration(small_corpus):
         assert [vs for vs, _ in sets] == from_copies
         for vs, witness in sets:
             assert witness.vertices == vs
-            assert validate_copy(H, witness)
+            assert check_copy(H, witness)
 
 
 @st.composite
@@ -188,6 +187,9 @@ def test_supporting_sets_match_brute_force(case, data):
     copies = {vs: _brute_copies(H, vs) for vs in brute}
     for vs, witness in sets:
         assert witness == copies[vs][0]
+    # the one-set search returns the first copy it meets, which is the least
+    for S in itertools.combinations(range(H.n), s):
+        assert supports_triangle(H, S) == (copies[S][0] if S in copies else None)
     every = sorted((c for cs in copies.values() for c in cs), key=TriangleCopy.sort_key)
     assert enumerate_copies(H) == every
     inside = [S for S in brute if set(S) <= set(R)]
@@ -261,6 +263,25 @@ def test_tight_2paths_rainbow_counts():
     counts = count_tight_2paths(H, coloring)
     assert counts.total == 3
     assert counts.rainbow == 2
+
+
+def test_tight_2paths_match_brute_force():
+    # pairs of edges sharing k-1 vertices, counted pair by pair
+    rng = random.Random(12)
+    for k in (2, 3, 4):
+        for n in (k + 2, 7, 9):
+            everything = list(itertools.combinations(range(n), k))
+            H = KGraph(n, k, [e for e in everything if rng.random() < 0.5])
+            coloring = {e: rng.randrange(3) for e in H.edges}
+            pairs = [
+                (e, f)
+                for e, f in itertools.combinations(H.edges, 2)
+                if len(set(e) & set(f)) == k - 1
+            ]
+            counts = count_tight_2paths(H, coloring)
+            assert counts.total == len(pairs) == count_tight_2paths(H).total
+            assert counts.rainbow == sum(coloring[e] != coloring[f] for e, f in pairs)
+            assert count_tight_2paths(H).rainbow is None
 
 
 def test_tight_2paths_bad_coloring():
