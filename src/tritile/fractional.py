@@ -7,13 +7,14 @@ Pivoting is deterministic and anti-cycling (lexicographic ratio test), and
 all arithmetic is `fractions.Fraction`, so certificates and optima are exact
 and reproducible bit for bit.
 
-Every pivot, and every basis repair, goes through one sparse elimination
-routine that touches only the nonzero columns of the pivot row.  The ratio
-test's lexicographic reference Q starts at identity and receives the same
-row operations as B^-1, so a cold solve (started from the identity basis:
-phase 1, `perfect_fractional_tiling`, `packing_lp_value`) keeps Q == B^-1 as
-one matrix; only a warm solve (phase 2 of `min_max_pair_weight`, started
-from phase 1's B^-1) keeps a separate Q.
+One `_Simplex` object holds an LP's state (basis, B^-1, basic values), and
+each solve continues from it: phase 2 of `min_max_pair_weight` starts where
+phase 1 stopped.  Every pivot, and every pivot that retires a column, goes
+through one sparse elimination routine that touches only the nonzero columns
+of the pivot row.  The ratio test's lexicographic reference Q starts at
+identity and receives the same row operations as B^-1, so the first solve
+(from the identity basis) keeps Q == B^-1 as one matrix; a later solve keeps
+a separate fresh Q.
 """
 
 from __future__ import annotations
@@ -96,9 +97,6 @@ class FarkasCertificate:
     def total(self) -> int:
         return sum(self.coeffs)
 
-    def copy_value(self, copy: TriangleCopy) -> int:
-        return sum(self.coeffs[v] for v in copy.vertices)
-
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs), "total": self.total()}
 
@@ -117,7 +115,7 @@ def frac_str(q) -> str:
 # the few other columns (slacks, artificials, W) follow, each with one
 # scalar coefficient on its rows.  Entering rule: most negative reduced
 # cost, ties to the lowest column id.  Leaving rule: lexicographic ratio
-# test against a fresh identity reference, which is anti-cycling and
+# test against an identity reference, which is anti-cycling and
 # deterministic and copes with the massive degeneracy of the min-max
 # programs (Bland stalls there).  The duals y = c_B B^-1 are computed once
 # per solve and carried across pivots.
@@ -137,6 +135,11 @@ class _Column:
 
 
 class _Simplex:
+    """One LP and its simplex state: ``basis`` (the column basic in each
+    row), ``binv`` (B^-1) and ``xb`` (the basic values), set up from the
+    identity basis ``basis`` over the right-hand side ``b``.  Each solve
+    continues from the state the previous one left."""
+
     def __init__(
         self,
         nrows: int,
@@ -144,72 +147,62 @@ class _Simplex:
         block_cost: int,
         others: list[_Column],
         b: Sequence[Fraction],
+        basis: Sequence[int],
     ):
         self.nrows = nrows
-        self.block = block
+        self.m = len(block)
         self.block_cost = block_cost
         # positions[p][j] is the p-th row of block column j: every block
         # column has the same number of rows, so the block prices as one
         # lazy pass of sums, position by position.
         self.positions = list(zip(*block))
         self.others = others
-        self.b = [Fraction(x) for x in b]
+        self.basis = list(basis)
+        self.binv = _identity(nrows)
+        self.xb = [Fraction(x) for x in b]
+        self.retired: set[int] = set()
+        self.solved = False
 
     def _col(self, j):
         """(rows, coefficient, cost) of column j."""
-        m = len(self.block)
-        if j < m:
-            return self.block[j], 1, self.block_cost
-        col = self.others[j - m]
+        if j < self.m:
+            return tuple(at[j] for at in self.positions), 1, self.block_cost
+        col = self.others[j - self.m]
         return col.rows, col.coef, col.cost
 
     def solve(
         self,
         *,
-        basis: list[int],
-        banned=(),
         minimize: bool = True,
         stop_at_zero: bool = False,
         pivot_cap: int = 200_000,
-        binv: Optional[list[list[Fraction]]] = None,
     ):
-        """Primal simplex from the given basis.
-
-        Returns (objective, basis, binv, xb, y).  ``banned`` columns, which
-        must lie outside the block, never enter (used to freeze artificials
-        after phase 1).
-        """
+        """Primal simplex from the held basis; returns (objective, duals)
+        and leaves the final basis, B^-1 and basic values in place."""
         n = self.nrows
-        positions, block_cost = self.positions, self.block_cost
-        m = len(self.block)
+        positions, block_cost, m = self.positions, self.block_cost, self.m
+        basis, binv, xb = self.basis, self.binv, self.xb
         # Lexicographic reference: rows (xb_i | Q_i) with Q starting at
         # identity are lex-positive and stay so under the lex ratio rule.  Q
-        # receives exactly the row operations of B^-1, so a cold solve
-        # (B^-1 starts at identity) keeps Q == B^-1 in one matrix; a warm
-        # solve keeps a separate Q.
-        if binv is None:
-            binv = _identity(n)
-            xb = list(self.b)
-            mats = (binv,)
-        else:
-            binv = [row[:] for row in binv]
-            xb = self._basic_values(binv)
-            mats = (binv, _identity(n))
+        # receives exactly the row operations of B^-1, so the first solve
+        # (B^-1 starts at identity) keeps Q == B^-1 in one matrix; a later
+        # solve starts a separate fresh Q.
+        mats = (binv, _identity(n)) if self.solved else (binv,)
+        self.solved = True
         Q = mats[-1]
-        basis = list(basis)
         others = [
             (m + idx, col.rows, col.coef, col.cost)
             for idx, col in enumerate(self.others)
-            if m + idx not in banned
+            if m + idx not in self.retired
         ]
-        y = self._multipliers(basis, binv)
+        y = self._multipliers()
         obj = sum(
             (self._col(j)[2] * x for j, x in zip(basis, xb) if x), start=_ZERO
         )
 
         for _pivot in range(pivot_cap):
             if stop_at_zero and obj == 0:
-                return obj, basis, binv, xb, y
+                return obj, y
 
             # Reduced costs scaled by the duals' common denominator: a basic
             # column prices to exactly 0, so it never enters.
@@ -232,10 +225,10 @@ class _Simplex:
                 if (t < best_t) if minimize else (t > best_t):
                     best_t, entering = t, j
             if entering < 0:
-                return obj, basis, binv, xb, y
+                return obj, y
 
             rows, coef, _cost = self._col(entering)
-            d = self._column(binv, rows, coef)
+            d = self._column(rows, coef)
             leave = -1
             for i in range(n):
                 if d[i] <= 0:
@@ -244,7 +237,7 @@ class _Simplex:
                     leave = i
             if leave < 0:
                 raise ArithmeticError("unbounded direction in simplex")
-            self._pivot(mats, xb, leave, d)
+            self._pivot(mats, leave, d)
             basis[leave] = entering
             # The objective moves by rc times the entering value, and
             # y' = y + rc * (new pivot row of B^-1).
@@ -271,34 +264,35 @@ class _Simplex:
                 return lhs < rhs
         return False
 
-    def repair_basis(self, basis, binv, unwanted: set, allowed: list):
-        """Pivot zero-valued ``unwanted`` basic columns out wherever some
-        ``allowed`` column crosses their row; rows with no crossing are inert
-        (no entering column can ever move them) and are left in place.  A
-        basic column never crosses another basic column's row."""
-        n = self.nrows
-        xb = self._basic_values(binv)
-        for i in range(n):
-            if basis[i] not in unwanted:
+    def retire(self, columns):
+        """Bar ``columns`` from entering again.  Each one basic (at value
+        zero) is pivoted out wherever another column crosses its row, the
+        candidates tried in column order; rows with no crossing are inert
+        (no entering column can ever move them) and keep it.  A basic column
+        never crosses another basic column's row."""
+        self.retired.update(columns)
+        basis, binv = self.basis, self.binv
+        for i in range(self.nrows):
+            if basis[i] not in self.retired:
                 continue
-            if xb[i] != 0:
-                raise ArithmeticError("repair expects zero-valued unwanted basics")
+            if self.xb[i] != 0:
+                raise ArithmeticError("only a zero-valued basic column can retire")
             row = binv[i]
-            for j in allowed:
+            for j in range(self.m + len(self.others)):
+                if j in self.retired:
+                    continue
                 rows, coef, _cost = self._col(j)
                 if sum((row[r] for r in rows), start=_ZERO) == 0:
                     continue
-                d = self._column(binv, rows, coef)
                 # theta = xb[i]/d[i] = 0: basis swap leaves the solution as is
-                self._pivot((binv,), xb, i, d)
+                self._pivot((binv,), i, self._column(rows, coef))
                 basis[i] = j
                 break
-        return basis, binv
 
-    @staticmethod
-    def _column(binv, rows, coef):
+    def _column(self, rows, coef):
         """d = B^-1 a for the column a with ``coef`` on ``rows``, exactly."""
-        n = len(binv)
+        binv = self.binv
+        n = self.nrows
         d = [_ZERO] * n
         for r in rows:
             for i in range(n):
@@ -309,12 +303,12 @@ class _Simplex:
             d = [coef * x for x in d]
         return d
 
-    @staticmethod
-    def _pivot(mats, xb, leave, d):
+    def _pivot(self, mats, leave, d):
         """Make d the unit vector at ``leave``: divide row ``leave`` by d[leave]
         and subtract d[i] times it from every other row i, in place, in each
         matrix of ``mats`` and in xb.  Only the pivot row's nonzero columns
         are touched, since the others would only subtract zeros."""
+        xb = self.xb
         inv_piv = 1 / d[leave]
         xb[leave] *= inv_piv
         xl = xb[leave]
@@ -331,24 +325,18 @@ class _Simplex:
         for i, f in crossed:
             xb[i] -= f * xl
 
-    def _multipliers(self, basis, binv):
+    def _multipliers(self):
         """y = c_B B^-1, from scratch."""
         n = self.nrows
         y = [_ZERO] * n
         for i in range(n):
-            c = self._col(basis[i])[2]
+            c = self._col(self.basis[i])[2]
             if c:
-                row = binv[i]
+                row = self.binv[i]
                 for r in range(n):
                     if row[r]:
                         y[r] += c * row[r]
         return y
-
-    def _basic_values(self, binv):
-        return [
-            sum((binv[i][r] * self.b[r] for r in range(self.nrows)), start=_ZERO)
-            for i in range(self.nrows)
-        ]
 
 
 # -- LP columns ---------------------------------------------------------------
@@ -424,15 +412,12 @@ def perfect_fractional_tiling(
     n = H.n
     m = len(sets)
     artificials = [_Column((r,), 1, 1) for r in range(n)]
-    sx = _Simplex(n, [vs for vs, _ in sets], 0, artificials, [_ONE] * n)
-    obj, basis, _binv, xb, y = sx.solve(
-        basis=list(range(m, m + n)),
-        minimize=True,
-        stop_at_zero=True,
-        pivot_cap=pivot_cap,
+    sx = _Simplex(
+        n, [vs for vs, _ in sets], 0, artificials, [_ONE] * n, range(m, m + n)
     )
+    obj, y = sx.solve(minimize=True, stop_at_zero=True, pivot_cap=pivot_cap)
     if obj == 0:
-        return _basis_tiling(n, sets, basis, xb)
+        return _basis_tiling(n, sets, sx.basis, sx.xb)
     coeffs = _scale_to_integers([-v for v in y])
     cert = FarkasCertificate(coeffs)
     check = verify_certificate(H, cert, sets=sets)
@@ -500,13 +485,9 @@ def packing_lp_value(
     n = H.n
     m = len(sets)
     slacks = [_Column((r,), 1, 0) for r in range(n)]
-    sx = _Simplex(n, [vs for vs, _ in sets], 1, slacks, [_ONE] * n)
-    obj, basis, _binv, xb, _y = sx.solve(
-        basis=list(range(m, m + n)),
-        minimize=False,
-        pivot_cap=pivot_cap,
-    )
-    return obj, _basis_tiling(n, sets, basis, xb)
+    sx = _Simplex(n, [vs for vs, _ in sets], 1, slacks, [_ONE] * n, range(m, m + n))
+    obj, _y = sx.solve(minimize=False, pivot_cap=pivot_cap)
+    return obj, _basis_tiling(n, sets, sx.basis, sx.xb)
 
 
 def min_max_pair_weight(
@@ -540,36 +521,26 @@ def min_max_pair_weight(
     others += [_Column((r,), 1, 1) for r in range(n)]
 
     b = [_ONE] * n + [_ZERO] * len(pairs)
-    sx = _Simplex(nrows, block, 0, others, b)
     basis = list(range(art0, art0 + n)) + list(range(slack0, slack0 + len(pairs)))
+    sx = _Simplex(nrows, block, 0, others, b, basis)
     art = set(range(art0, art0 + n))
-    obj, basis, binv, xb, _y = sx.solve(
-        basis=basis,
-        minimize=True,
-        stop_at_zero=True,
-        pivot_cap=pivot_cap,
-    )
+    obj, _y = sx.solve(minimize=True, stop_at_zero=True, pivot_cap=pivot_cap)
     if obj != 0:
         raise ArithmeticError("internal: phase 1 infeasible after feasibility check")
 
-    # Phase 2: minimize W.  Pivot leftover artificials out of the basis (rows
-    # they cannot leave are inert), then ban them from entering, so the
-    # program explored is exactly the perfect-tiling polytope.
-    basis, binv = sx.repair_basis(basis, binv, art, list(range(art0)))
+    # Phase 2: minimize W from phase 1's basis.  Retire the artificials:
+    # leftover basic ones pivot out (rows they cannot leave are inert) and
+    # none enters again, so the program explored is exactly the
+    # perfect-tiling polytope.
+    sx.retire(art)
     for col in others:
         col.cost = 0
     others[0].cost = 1  # W
-    _obj2, basis, binv, xb, _y = sx.solve(
-        basis=basis,
-        banned=art,
-        minimize=True,
-        pivot_cap=pivot_cap,
-        binv=binv,
-    )
+    sx.solve(minimize=True, pivot_cap=pivot_cap)
     w_star = _ZERO
-    for col_id, x in zip(basis, xb):
+    for col_id, x in zip(sx.basis, sx.xb):
         if col_id == w_col:
             w_star = x
         elif col_id in art and x != 0:
             raise ArithmeticError("internal: artificial drifted positive in phase 2")
-    return w_star, _basis_tiling(n, sets, basis, xb)
+    return w_star, _basis_tiling(n, sets, sx.basis, sx.xb)

@@ -57,12 +57,6 @@ class VertexPartition:
     def r(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, v: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if v in b:
-                return i
-        raise InvalidVertex(f"vertex {v} not covered")
-
 
 def index_vector(P: VertexPartition, S: Iterable[int]) -> tuple[int, ...]:
     """Blockwise intersection sizes of S."""
@@ -361,23 +355,31 @@ def _check_range(H: KGraph, vs: Sequence[int]) -> None:
         raise InvalidVertex(f"{tuple(vs)} leaves the vertex range 0..{H.n - 1}")
 
 
-def _connectors(H: KGraph, u: int, v: int, t: int, blocked: set, budget: int):
-    """Every set S with both S+{u} and S+{v} perfectly tilable, smallest
-    first: |S| = (2k-1)q - 1 for q = 1..t, S avoids ``blocked``.  Raises
-    BudgetExceeded once more than ``budget`` candidates have been tried."""
-    s = 2 * H.k - 1
+def _both_tilable(H: KGraph, blocked: set, sizes, ends, budget: int, what: str):
+    """Every set C avoiding ``blocked`` with C plus each of the two ``ends``
+    perfectly tilable, smallest first through the increasing ``sizes``.
+    Raises BudgetExceeded, naming the ``what`` search, once more than
+    ``budget`` candidates have been tried."""
     pool = [w for w in range(H.n) if w not in blocked]
+    first, second = ends
     tried = 0
-    for q in range(1, t + 1):
-        size = q * s - 1
+    for size in sizes:
         if size > len(pool):
             break
-        for S in itertools.combinations(pool, size):
+        for C in itertools.combinations(pool, size):
             tried += 1
             if tried > budget:
-                raise BudgetExceeded(f"connector search exceeded {budget} candidates")
-            if perfectly_tilable(H, S + (u,)) and perfectly_tilable(H, S + (v,)):
-                yield S
+                raise BudgetExceeded(f"{what} search exceeded {budget} candidates")
+            if perfectly_tilable(H, C + first) and perfectly_tilable(H, C + second):
+                yield C
+
+
+def _connectors(H: KGraph, u: int, v: int, t: int, blocked: set, budget: int):
+    """Every set S with both S+{u} and S+{v} perfectly tilable, smallest
+    first: |S| = (2k-1)q - 1 for q = 1..t, S avoids ``blocked``."""
+    s = 2 * H.k - 1
+    sizes = range(s - 1, t * s, s)
+    return _both_tilable(H, blocked, sizes, ((u,), (v,)), budget, "connector")
 
 
 def find_connector(
@@ -409,10 +411,11 @@ def reachable(
 ) -> str:
     """Can u and v be connected while avoiding any m vertices?
 
-    Certificate mode finds m+1 pairwise disjoint connectors (sound, may answer
-    unknown).  Exact mode enumerates the whole connector family and decides
-    whether some m vertices meet it entirely (small hosts only).  In both
-    modes u and v must differ.
+    Certificate mode finds m+1 pairwise disjoint connectors (sound; answers
+    unknown when it finds fewer).  Exact mode enumerates the whole connector
+    family and decides whether some m vertices meet it entirely (small hosts
+    only).  In both modes u and v must differ, and a search that exceeds
+    ``budget`` raises BudgetExceeded.
     """
     if m < 0:
         raise InvalidDimension("m must be nonnegative")
@@ -423,22 +426,16 @@ def reachable(
         used: set[int] = set()
         found = 0
         while found < m + 1:
-            try:
-                S = find_connector(H, u, v, t=t, forbidden=used, budget=budget)
-            except BudgetExceeded:
-                return UNKNOWN
+            S = find_connector(H, u, v, t=t, forbidden=used, budget=budget)
             if S is None:
                 return UNKNOWN
             used.update(S)
             found += 1
         return YES
     if mode == "exact":
-        try:
-            family = [_mask(S) for S in _connectors(H, u, v, t, {u, v}, budget)]
-            # an empty family is hit by the empty set: NO
-            hit = _min_hit_decision(family, m, budget)
-        except BudgetExceeded:
-            return UNKNOWN
+        family = [_mask(S) for S in _connectors(H, u, v, t, {u, v}, budget)]
+        # an empty family is hit by the empty set: NO
+        hit = _min_hit_decision(family, m, budget)
         return NO if hit is not None else YES
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -453,7 +450,8 @@ def is_closed(
     budget: int = 500_000,
 ) -> tuple[str, Optional[tuple[int, int]]]:
     """Pairwise reachability over U; returns the verdict and the first
-    failing (or first unknown) pair."""
+    failing (or first unknown) pair.  Unknown means certificate mode found
+    too few disjoint connectors; a blown budget raises BudgetExceeded."""
     U = canonical_vertex_set(U)
     first_unknown = None
     for u, v in itertools.combinations(U, 2):
@@ -482,21 +480,9 @@ def find_absorber(
     if len(S) != s:
         raise InvalidVertex(f"absorber target must have {s} vertices")
     _check_range(H, S)
+    sizes = range(s, s * s * t + 1, s)  # q(2k-1) for q = 1..(2k-1)t
     blocked = set(forbidden) | set(S)
-    pool = [w for w in range(H.n) if w not in blocked]
-    tried = 0
-    max_q = (s * s * t) // s
-    for q in range(1, max_q + 1):
-        size = q * s
-        if size > len(pool):
-            break
-        for A in itertools.combinations(pool, size):
-            tried += 1
-            if tried > budget:
-                raise BudgetExceeded(f"absorber search exceeded {budget} candidates")
-            if perfectly_tilable(H, A) and perfectly_tilable(H, A + S):
-                return A
-    return None
+    return next(_both_tilable(H, blocked, sizes, ((), S), budget, "absorber"), None)
 
 
 # -- density and coloring predicates -------------------------------------------

@@ -1,10 +1,12 @@
+import functools
 import itertools
 import json
 
 import pytest
 
+from tritile import cli, lattice
 from tritile.cli import main, parse_blocks, parse_rational, parse_vertices, run, UsageError
-from tritile.core import load_kgraph
+from tritile.core import KGraph, load_kgraph, save_kgraph
 
 
 def _strip_timing(report: dict) -> dict:
@@ -474,3 +476,16 @@ def test_reach_without_enough_connectors_is_unknown(tmp_path, capsys):
     capsys.readouterr()
     assert main(["reach", str(inst), "--u", "0", "--v", "1", "--m", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "unknown"
+
+
+def test_reach_over_budget_is_unknown_budget(tmp_path, capsys, monkeypatch):
+    # An edgeless host has no connector; a 3-candidate budget runs out first.
+    inst = tmp_path / "empty.kg"
+    save_kgraph(KGraph(10, 3, []), inst)
+    monkeypatch.setattr(cli, "reachable", functools.partial(lattice.reachable, budget=3))
+    for mode in ("certificate", "exact"):
+        argv = ["reach", str(inst), "--u", "0", "--v", "1", "--m", "1", "--mode", mode]
+        assert main(argv) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "unknown-budget"
+        assert report["reason"] == "connector search exceeded 3 candidates"

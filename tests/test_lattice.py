@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tritile.core import KGraph, complete_kgraph
 from tritile.constructions import random_with_codegree
-from tritile.errors import EmptyGraph, InvalidEdgeProfile, InvalidVertex
+from tritile.errors import BudgetExceeded, EmptyGraph, InvalidEdgeProfile, InvalidVertex
 from tritile.lattice import (
     NO,
     YES,
@@ -245,6 +245,16 @@ def test_reachable_equal_endpoints_raise_in_both_modes(mode):
         reachable(complete_kgraph(10, 3), 2, 2, 1, mode=mode)
 
 
+@pytest.mark.parametrize("mode", ["certificate", "exact"])
+def test_reachable_budget_raises_in_both_modes(mode):
+    # An edgeless host has no connector, so the walk tries every candidate.
+    H = KGraph(10, 3, [])
+    with pytest.raises(BudgetExceeded, match="connector search exceeded 3 candidates"):
+        reachable(H, 0, 1, 1, mode=mode, budget=3)
+    with pytest.raises(BudgetExceeded):
+        is_closed(H, (0, 1), 1, mode=mode, budget=3)
+
+
 def test_reachable_certificate_never_contradicts_exact(small_corpus):
     for _, H in small_corpus[:12]:
         cert = reachable(H, 0, 1, 1)
@@ -275,6 +285,8 @@ def test_absorber_complete_host():
 
 def test_absorber_edgeless_none():
     assert find_absorber(KGraph(12, 3, []), (0, 1, 2, 3, 4)) is None
+    with pytest.raises(BudgetExceeded, match="absorber search exceeded 3 candidates"):
+        find_absorber(KGraph(12, 3, []), (0, 1, 2, 3, 4), budget=3)
 
 
 def test_out_of_range_endpoints_raise():

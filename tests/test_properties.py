@@ -9,6 +9,7 @@ against the plain re-filtering search in ``oracles``.
 
 import itertools
 import random
+from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -86,52 +87,118 @@ def test_verdict_and_lp_value_ignore_vertex_labels(H, rng):
     assert packing_lp_value(H)[0] == packing_lp_value(H2)[0]
 
 
+_Solve = namedtuple("_Solve", "sx start carried fresh values_hold retired_stay_out")
+
+
+def _values_hold(sx, b):
+    """The held basic values equal B^-1 b, recomputed from the held B^-1,
+    and the basis columns weighted by them add up to b."""
+    n = sx.nrows
+    if sx.xb != [sum((row[r] * b[r] for r in range(n)), start=Fraction(0)) for row in sx.binv]:
+        return False
+    lhs = [Fraction(0)] * n
+    for j, x in zip(sx.basis, sx.xb):
+        rows, coef, _cost = sx._col(j)
+        for r in rows:
+            lhs[r] += coef * x
+    return lhs == b
+
+
+def _retired_basics(sx):
+    return {(i, j) for i, j in enumerate(sx.basis) if j in sx.retired}
+
+
 @contextmanager
 def _recorded_solves():
-    """Every ``_Simplex.solve`` made inside the block, as (arguments, carried
-    duals and objective, the same recomputed from the returned basis).  The
-    recomputation runs at once, before a caller changes any cost."""
-    solve = fractional._Simplex.solve
-    seen = []
+    """Every ``_Simplex.solve`` and ``retire`` made inside the block.  A solve
+    records its simplex, its starting basis, the carried duals and objective,
+    the same recomputed from the final basis, whether the held basic values
+    equal B^-1 b recomputed from scratch, and whether every retired column
+    basic at the end was already basic in that row at the start.  A retire
+    records whether the basic values still hold.  The recomputation runs at
+    once, before a caller changes any cost."""
+    Simplex = fractional._Simplex
+    init, solve, retire = Simplex.__init__, Simplex.solve, Simplex.retire
+    rhs, solves, retires = {}, [], []
 
-    def recording(self, **kwargs):
-        obj, basis, binv, xb, y = out = solve(self, **kwargs)
-        fresh_obj = sum(self._col(j)[2] * x for j, x in zip(basis, xb))
-        seen.append((kwargs, (y, obj), (self._multipliers(basis, binv), fresh_obj)))
+    def recording_init(self, nrows, block, block_cost, others, b, basis):
+        init(self, nrows, block, block_cost, others, b, basis)
+        rhs[self] = [Fraction(x) for x in b]
+
+    def recording_solve(self, **kwargs):
+        start, fixed = list(self.basis), _retired_basics(self)
+        obj, y = out = solve(self, **kwargs)
+        fresh_obj = sum(self._col(j)[2] * x for j, x in zip(self.basis, self.xb))
+        solves.append(_Solve(
+            self,
+            start,
+            (y, obj),
+            (self._multipliers(), fresh_obj),
+            _values_hold(self, rhs[self]),
+            _retired_basics(self) <= fixed,
+        ))
         return out
 
-    fractional._Simplex.solve = recording
+    def recording_retire(self, columns):
+        retire(self, columns)
+        retires.append(_values_hold(self, rhs[self]))
+
+    Simplex.__init__, Simplex.solve, Simplex.retire = (
+        recording_init, recording_solve, recording_retire
+    )
     try:
-        yield seen
+        yield solves, retires
     finally:
-        fractional._Simplex.solve = solve
+        Simplex.__init__, Simplex.solve, Simplex.retire = init, solve, retire
+
+
+def _sound(solve: _Solve) -> bool:
+    return solve.carried == solve.fresh and solve.values_hold and solve.retired_stay_out
 
 
 @given(small_hosts())
 @settings(max_examples=30, deadline=None)
 def test_carried_duals_equal_duals_recomputed_from_the_basis(H):
-    with _recorded_solves() as seen:
+    with _recorded_solves() as (solves, retires):
         perfect_fractional_tiling(H)
         packing_lp_value(H)
         min_max_pair_weight(H)
-    for _kwargs, carried, fresh in seen:
-        assert carried == fresh
+    assert all(map(_sound, solves))
+    assert all(retires)
 
 
 def test_carried_duals_are_checked_in_every_phase():
     """Phase 1, packing, and both min-max phases each return carried duals
-    equal to fresh ones on a host where every phase runs."""
+    equal to fresh ones, and hold exact basic values, on a host where every
+    phase runs; phase 2 continues from phase 1's retired state."""
     for H in (complete_kgraph(9, 3), complete_kgraph(7, 4)):
-        for solver, solves in (
+        for solver, count in (
             (perfect_fractional_tiling, 1),
             (packing_lp_value, 1),
             (min_max_pair_weight, 3),  # feasibility, min-max phase 1, phase 2
         ):
-            with _recorded_solves() as seen:
+            with _recorded_solves() as (solves, retires):
                 solver(H)
-            assert len(seen) == solves
-            assert all(carried == fresh for _, carried, fresh in seen)
-        assert seen[-1][0].get("binv") is not None  # phase 2 starts warm
+            assert len(solves) == count
+            assert all(map(_sound, solves))
+        phase1, phase2 = solves[-2:]
+        assert phase2.sx is phase1.sx and phase2.start != phase1.start  # warm
+        assert retires == [True] and phase2.sx.retired
+
+
+def test_retired_column_never_enters():
+    """One row, b = 1, started on a cost-3 column: the cheapest column
+    (cost 0) would enter, but once retired the set column (cost 2) does."""
+    def lp():
+        others = [fractional._Column((0,), 1, 3), fractional._Column((0,), 1, 0)]
+        return fractional._Simplex(1, [(0,)], 2, others, [1], [1])
+
+    free = lp()
+    assert free.solve() == (0, [0]) and free.basis == [2]
+    barred = lp()
+    barred.retire([2])
+    assert barred.solve() == (2, [2]) and barred.basis == [0]
+    assert barred.xb == [1]
 
 
 @st.composite
