@@ -179,24 +179,22 @@ class ExtremalityVerdict:
     size: int
 
 
+# Exact extremality gives up before enumerating more candidate subsets.
+_SUBSET_BUDGET = 5_000_000
+
+
 def is_gamma_extremal(
-    H: KGraph,
-    gamma: Fraction,
-    *,
-    size: Optional[int] = None,
-    mode: str = "exact",
-    budget: int = 5_000_000,
+    H: KGraph, gamma: Fraction, *, mode: str = "exact"
 ) -> ExtremalityVerdict:
     """Decide whether some induced subgraph on the target size has density <= gamma.
 
-    Exact mode enumerates all candidate subsets (guarded by ``budget``
-    subsets); heuristic mode peels maximum-degree vertices greedily and is
-    sound only when it answers True.
+    Exact mode enumerates all candidate subsets and raises BudgetExceeded,
+    before any search, when there are more than ``_SUBSET_BUDGET``; heuristic
+    mode peels maximum-degree vertices greedily and is sound only when it
+    answers True.
     """
     gamma = Fraction(gamma)
-    target = extremal_witness_size(H.n, H.k) if size is None else size
-    if target > H.n:
-        raise TooFewVertices(f"witness size {target} exceeds n={H.n}")
+    target = extremal_witness_size(H.n, H.k)
     if target < H.k:
         # No edges fit inside the witness, so its density vanishes.
         return ExtremalityVerdict(True, tuple(range(target)), mode, target)
@@ -206,9 +204,9 @@ def is_gamma_extremal(
 
     if mode == "exact":
         total = comb(H.n, target)
-        if total > budget:
+        if total > _SUBSET_BUDGET:
             raise BudgetExceeded(
-                f"{total} candidate subsets exceed budget {budget}",
+                f"{total} candidate subsets exceed budget {_SUBSET_BUDGET}",
                 partial_count=0,
             )
         edge_masks = [_mask(e) for e in H.edges]

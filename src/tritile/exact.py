@@ -153,7 +153,6 @@ def perfect_tiling(
     H: KGraph,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
-    cap: int = DEFAULT_COPY_CAP,
     use_lp: bool = True,
 ) -> Optional[Tiling]:
     """Perfect tiling of H, or None with the non-existence fully decided.
@@ -163,14 +162,13 @@ def perfect_tiling(
     tiling; the remaining cases are decided by exact cover over supporting
     sets.  A blown budget raises, it never reports "none".
     """
-    return _decide_perfect_tiling(H, budget=budget, cap=cap, use_lp=use_lp)[0]
+    return _decide_perfect_tiling(H, budget=budget, use_lp=use_lp)[0]
 
 
 def _decide_perfect_tiling(
     H: KGraph,
     *,
     budget: int = DEFAULT_NODE_BUDGET,
-    cap: int = DEFAULT_COPY_CAP,
     use_lp: bool = True,
 ) -> tuple[Optional[Tiling], Optional[str], Optional[FarkasCertificate]]:
     """``perfect_tiling`` plus the layer that decided "none".
@@ -184,26 +182,21 @@ def _decide_perfect_tiling(
         return None, "divisibility", None
     if H.n == 0:
         return Tiling((), 0), None, None
-    sets = supporting_sets(H, cap=cap)
+    sets = supporting_sets(H)
     if not sets:
         return None, "cover", None
     if use_lp:
         verdict = perfect_fractional_tiling(H, sets=sets)
         if isinstance(verdict, FarkasCertificate):
             return None, "farkas", verdict
-    index = _set_index(H, cap)
+    index = _set_index(H)
     rows = _CoverSearch(range(H.n), index.vertex_rows(), index.masks, budget).run()
     if rows is None:
         return None, "cover", None
     return Tiling(tuple(sets[r][1] for r in rows), H.n), None, None
 
 
-def max_tiling(
-    H: KGraph,
-    *,
-    budget: int = DEFAULT_NODE_BUDGET,
-    cap: int = DEFAULT_COPY_CAP,
-) -> tuple[int, Tiling]:
+def max_tiling(H: KGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling]:
     """Maximum number of disjoint copies with a witness.
 
     Branch and bound on the lowest undecided vertex; the exact LP optimum of
@@ -212,12 +205,12 @@ def max_tiling(
     certified [lower, upper] bounds.
     """
     s = 2 * H.k - 1
-    sets = supporting_sets(H, cap=cap)
+    sets = supporting_sets(H)
     if not sets:
         return 0, Tiling((), H.n)
     lp_value, lp_tiling = packing_lp_value(H, sets=sets)
     hi = int(lp_value)  # floor: weak duality bound for integral packings
-    index = _set_index(H, cap)
+    index = _set_index(H)
     masks = index.masks
 
     def greedy(order: Sequence[int]) -> list[int]:
@@ -333,18 +326,23 @@ class DegreeReport:
     threshold: Fraction
 
 
+def _least_degree(J: KGraph, vertices: Sequence[int]) -> Optional[tuple[int, int]]:
+    """(vertex, degree) of the first vertex of least degree in J, in the
+    order given, or None when there are no vertices."""
+    degrees = ((v, len(J.vertex_edges(v))) for v in vertices)
+    return min(degrees, key=lambda vd: vd[1], default=None)
+
+
 def dh_condition(J: KGraph, classes: Sequence[Sequence[int]]) -> DegreeReport:
     """Per-vertex degree >= (k-1) m^(k-1) / k in a balanced k-partite k-graph."""
     blocks = _check_partite(J, classes)
+    worst = _least_degree(J, sorted(v for b in blocks for v in b))
+    if worst is None:
+        raise InvalidPartiteStructure("classes are empty")
     m = len(blocks[0])
     k = J.k
     threshold = Fraction((k - 1) * m ** (k - 1), k)
-    worst_v, worst_d = None, None
-    for v in sorted(v for b in blocks for v in b):
-        d = len(J.vertex_edges(v))
-        if worst_d is None or d < worst_d:
-            worst_v, worst_d = v, d
-    return DegreeReport(worst_d >= threshold, worst_v, worst_d, threshold)
+    return DegreeReport(worst[1] >= threshold, *worst, threshold)
 
 
 def corollary_thresholds(k: int, n: int, beta: Fraction) -> tuple[Fraction, Fraction]:
@@ -381,13 +379,10 @@ def corollary_check(
         raise InvalidPartiteStructure(
             f"|A|={len(A)}, |B|={len(B)} violates the (2k-3):2 split"
         )
-    n_unit = len(B) // 2
-    edge_thr, vertex_thr = corollary_thresholds(k, n_unit, beta)
-    worst_v, worst_d = None, None
-    for v in A + B:
-        d = len(J.vertex_edges(v))
-        if worst_d is None or d < worst_d:
-            worst_v, worst_d = v, d
+    if not B:
+        raise InvalidPartiteStructure("B is empty")
+    edge_thr, vertex_thr = corollary_thresholds(k, len(B) // 2, beta)
+    worst_v, worst_d = _least_degree(J, A + B)
     ok = J.edge_count() >= edge_thr and worst_d >= vertex_thr
     return CorollaryReport(ok, J.edge_count(), edge_thr, worst_v, worst_d, vertex_thr)
 
@@ -525,7 +520,6 @@ def extremal_pipeline(
     gamma_prime: Optional[Fraction] = None,
     beta: Optional[Fraction] = None,
     budget: int = DEFAULT_NODE_BUDGET,
-    witness_budget: int = 5_000_000,
 ) -> PipelineResult:
     """Constructive tiling pipeline for near-extremal hosts, run at finite n.
 
@@ -559,7 +553,7 @@ def extremal_pipeline(
 
     # witness
     if witness is None:
-        verdict = is_gamma_extremal(H, gamma, budget=witness_budget)
+        verdict = is_gamma_extremal(H, gamma)
         if not verdict.extremal:
             return fail("witness", f"host is not {gamma}-extremal at the target size")
         S = verdict.witness
@@ -666,11 +660,7 @@ def extremal_pipeline(
     deficit = full - aux.graph.edge_count()
     p1 = gamma_eighth.deficit_at_most(deficit, full)
     vertex_thr = Fraction(n1 ** (2 * k - 2), s ** ((k + 1) ** 2 + 2 * k - 2))
-    worst = None
-    for v in A_rest + B_rest:
-        d = len(aux.graph.vertex_edges(v))
-        if worst is None or d < worst[1]:
-            worst = (v, d)
+    worst = _least_degree(aux.graph, A_rest + B_rest)
     p2 = worst is not None and worst[1] >= vertex_thr
     if not (p1 and p2):
         return fail(

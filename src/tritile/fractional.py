@@ -28,14 +28,13 @@ from typing import Optional, Sequence
 
 from .core import KGraph
 from .errors import BudgetExceeded, InvalidDimension, InvalidVertex
-from .patterns import (
-    DEFAULT_COPY_CAP,
-    TriangleCopy,
-    supporting_sets,
-)
+from .patterns import TriangleCopy, supporting_sets
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# The lexicographic ratio test cannot cycle, so a solve that reaches this
+# many pivots is a bug, not a hard instance.
+_PIVOT_CAP = 1_000_000
 
 
 # -- data ------------------------------------------------------------------
@@ -170,13 +169,7 @@ class _Simplex:
         col = self.others[j - self.m]
         return col.rows, col.coef, col.cost
 
-    def solve(
-        self,
-        *,
-        minimize: bool = True,
-        stop_at_zero: bool = False,
-        pivot_cap: int = 200_000,
-    ):
+    def solve(self, *, minimize: bool = True, stop_at_zero: bool = False):
         """Primal simplex from the held basis; returns (objective, duals)
         and leaves the final basis, B^-1 and basic values in place."""
         n = self.nrows
@@ -200,7 +193,7 @@ class _Simplex:
             (self._col(j)[2] * x for j, x in zip(basis, xb) if x), start=_ZERO
         )
 
-        for _pivot in range(pivot_cap):
+        for _pivot in range(_PIVOT_CAP):
             if stop_at_zero and obj == 0:
                 return obj, y
 
@@ -246,7 +239,7 @@ class _Simplex:
             for r, v in enumerate(binv[leave]):
                 if v:
                     y[r] += rc * v
-        raise BudgetExceeded(f"simplex pivot cap {pivot_cap} exceeded")
+        raise BudgetExceeded(f"simplex pivot cap {_PIVOT_CAP} exceeded")
 
     @staticmethod
     def _lex_less(i, j, d, xb, Q):
@@ -350,12 +343,6 @@ class _Simplex:
 SetList = list  # list[(vertices, TriangleCopy)]
 
 
-def _sets(H: KGraph, sets, cap) -> SetList:
-    if sets is None:
-        sets = supporting_sets(H, cap=cap)
-    return sets
-
-
 def _scale_to_integers(values: Sequence[Fraction]) -> tuple[int, ...]:
     denom = lcm(*(v.denominator for v in values)) if values else 1
     ints = [int(v * denom) for v in values]
@@ -396,26 +383,20 @@ def _basis_tiling(n: int, sets: SetList, basis, xb) -> FractionalTiling:
 # -- operations --------------------------------------------------------------
 
 
-def perfect_fractional_tiling(
-    H: KGraph,
-    *,
-    sets: Optional[SetList] = None,
-    cap: int = DEFAULT_COPY_CAP,
-    pivot_cap: int = 1_000_000,
-):
+def perfect_fractional_tiling(H: KGraph, *, sets: Optional[SetList] = None):
     """Perfect fractional tiling of H, or a Farkas certificate of its absence.
 
     Exactly one of the two is returned; the certificate is validated against
     the full supporting-set list before being handed back.
     """
-    sets = _sets(H, sets, cap)
+    sets = supporting_sets(H) if sets is None else sets
     n = H.n
     m = len(sets)
     artificials = [_Column((r,), 1, 1) for r in range(n)]
     sx = _Simplex(
         n, [vs for vs, _ in sets], 0, artificials, [_ONE] * n, range(m, m + n)
     )
-    obj, y = sx.solve(minimize=True, stop_at_zero=True, pivot_cap=pivot_cap)
+    obj, y = sx.solve(minimize=True, stop_at_zero=True)
     if obj == 0:
         return _basis_tiling(n, sets, sx.basis, sx.xb)
     coeffs = _scale_to_integers([-v for v in y])
@@ -434,18 +415,14 @@ class CertificateCheck:
 
 
 def verify_certificate(
-    H: KGraph,
-    cert: FarkasCertificate,
-    *,
-    sets: Optional[SetList] = None,
-    cap: int = DEFAULT_COPY_CAP,
+    H: KGraph, cert: FarkasCertificate, *, sets: Optional[SetList] = None
 ) -> CertificateCheck:
     """Exact check over the full copy universe; reports a violating copy."""
     if cert.n != H.n:
         raise InvalidDimension(f"certificate has {cert.n} entries, host has {H.n}")
     if cert.total() >= 0:
         return CertificateCheck(False, f"a.1 = {cert.total()} is not negative")
-    sets = _sets(H, sets, cap)
+    sets = supporting_sets(H) if sets is None else sets
     for vs, witness in sets:
         value = sum(cert.coeffs[v] for v in vs)
         if value < 0:
@@ -455,13 +432,7 @@ def verify_certificate(
     return CertificateCheck(True)
 
 
-def b_avoiding_fractional_tiling(
-    H: KGraph,
-    B: KGraph,
-    *,
-    cap: int = DEFAULT_COPY_CAP,
-    pivot_cap: int = 1_000_000,
-):
+def b_avoiding_fractional_tiling(H: KGraph, B: KGraph):
     """Same verdict restricted to copies spanning no pair of B.
 
     Returned certificates are valid for the avoiding family (not necessarily
@@ -469,40 +440,31 @@ def b_avoiding_fractional_tiling(
     """
     if B.k != 2 or B.n != H.n:
         raise InvalidDimension("B must be a 2-uniform graph on V(H)")
-    sets = _avoiding_sets(supporting_sets(H, cap=cap), B)
-    return perfect_fractional_tiling(H, sets=sets, pivot_cap=pivot_cap)
+    sets = _avoiding_sets(supporting_sets(H), B)
+    return perfect_fractional_tiling(H, sets=sets)
 
 
 def packing_lp_value(
-    H: KGraph,
-    *,
-    sets: Optional[SetList] = None,
-    cap: int = DEFAULT_COPY_CAP,
-    pivot_cap: int = 1_000_000,
+    H: KGraph, *, sets: Optional[SetList] = None
 ) -> tuple[Fraction, FractionalTiling]:
     """Exact optimum of the fractional packing relaxation max sum(w), w(u) <= 1."""
-    sets = _sets(H, sets, cap)
+    sets = supporting_sets(H) if sets is None else sets
     n = H.n
     m = len(sets)
     slacks = [_Column((r,), 1, 0) for r in range(n)]
     sx = _Simplex(n, [vs for vs, _ in sets], 1, slacks, [_ONE] * n, range(m, m + n))
-    obj, _y = sx.solve(minimize=False, pivot_cap=pivot_cap)
+    obj, _y = sx.solve(minimize=False)
     return obj, _basis_tiling(n, sets, sx.basis, sx.xb)
 
 
-def min_max_pair_weight(
-    H: KGraph,
-    *,
-    cap: int = DEFAULT_COPY_CAP,
-    pivot_cap: int = 1_000_000,
-):
+def min_max_pair_weight(H: KGraph):
     """Minimize, over perfect fractional tilings, the maximum pair weight.
 
     Returns (W*, tiling); if no perfect fractional tiling exists, the Farkas
     certificate is passed through instead.
     """
-    sets = supporting_sets(H, cap=cap)
-    first = perfect_fractional_tiling(H, sets=sets, pivot_cap=pivot_cap)
+    sets = supporting_sets(H)
+    first = perfect_fractional_tiling(H, sets=sets)
     if isinstance(first, FarkasCertificate):
         return first
 
@@ -524,7 +486,7 @@ def min_max_pair_weight(
     basis = list(range(art0, art0 + n)) + list(range(slack0, slack0 + len(pairs)))
     sx = _Simplex(nrows, block, 0, others, b, basis)
     art = set(range(art0, art0 + n))
-    obj, _y = sx.solve(minimize=True, stop_at_zero=True, pivot_cap=pivot_cap)
+    obj, _y = sx.solve(minimize=True, stop_at_zero=True)
     if obj != 0:
         raise ArithmeticError("internal: phase 1 infeasible after feasibility check")
 
@@ -536,7 +498,7 @@ def min_max_pair_weight(
     for col in others:
         col.cost = 0
     others[0].cost = 1  # W
-    sx.solve(minimize=True, pivot_cap=pivot_cap)
+    sx.solve(minimize=True)
     w_star = _ZERO
     for col_id, x in zip(sx.basis, sx.xb):
         if col_id == w_col:

@@ -25,7 +25,7 @@ from .errors import (
     InvalidVertex,
 )
 from .exact import DEFAULT_NODE_BUDGET, _CoverSearch, _disjoint_rows
-from .patterns import DEFAULT_COPY_CAP, _set_index, set_masks, supporting_sets
+from .patterns import _set_index, set_masks, supporting_sets
 
 YES = "yes"
 NO = "no"
@@ -86,21 +86,22 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 class IntegerLattice:
     """Integer span of generator vectors, kept as a row-echelon basis.
 
-    Every basis row carries its expression in the original generators, so a
-    positive membership answer can return reconstructible coefficients.
+    Every basis row is augmented: its ``dim`` entries are followed by its
+    expression in the original generators (entries past the row's end are
+    zero), so a positive membership answer can return reconstructible
+    coefficients.
     """
 
     def __init__(self, dim: int, generators: Sequence[Sequence[int]] = ()):
         self.dim = dim
         self.generators: list[tuple[int, ...]] = []
-        self.rows: list[list[int]] = []  # echelon rows, sorted by pivot column
-        self.row_coeffs: list[list[int]] = []  # rows expressed in generators
+        self.rows: list[list[int]] = []  # augmented echelon rows, sorted by pivot column
         for g in generators:
             self.add_generator(g)
 
     def _pivot(self, row: list[int]) -> int:
-        for j, x in enumerate(row):
-            if x:
+        for j in range(self.dim):
+            if row[j]:
                 return j
         return self.dim
 
@@ -109,16 +110,10 @@ class IntegerLattice:
         if len(vec) != self.dim:
             raise InvalidDimension(f"vector of length {len(vec)}, lattice dim {self.dim}")
         self.generators.append(tuple(vec))
-        coeff = [0] * len(self.generators)
-        coeff[-1] = 1
-        self._insert(vec, coeff)
+        self._insert(vec + [0] * (len(self.generators) - 1) + [1])
 
-    def _insert(self, v: list[int], vc: list[int]) -> None:
-        # pad stored coefficient rows to the current generator count
-        width = len(self.generators)
-        for rc in self.row_coeffs:
-            rc.extend([0] * (width - len(rc)))
-        vc = vc + [0] * (width - len(vc))
+    def _insert(self, v: list[int]) -> None:
+        # v is never shorter than a stored row: it spans every generator.
         i = 0
         while True:
             j = self._pivot(v)
@@ -129,35 +124,27 @@ class IntegerLattice:
             if i == len(self.rows) or self._pivot(self.rows[i]) > j:
                 if v[j] < 0:
                     v = [-x for x in v]
-                    vc = [-x for x in vc]
                 self.rows.insert(i, v)
-                self.row_coeffs.insert(i, vc)
                 return
-            row, rc = self.rows[i], self.row_coeffs[i]
+            row = self.rows[i]
             a, b = row[j], v[j]
+            pairs = list(itertools.zip_longest(row, v, fillvalue=0))
             if b % a == 0:
                 q = b // a
-                v = [x - q * y for x, y in zip(v, row)]
-                vc = [x - q * y for x, y in zip(vc, rc)]
+                v = [w - q * r for r, w in pairs]
             else:
                 g, x, y = _ext_gcd(a, b)
-                new_row = [x * p + y * q_ for p, q_ in zip(row, v)]
-                new_rc = [x * p + y * q_ for p, q_ in zip(rc, vc)]
-                v2 = [(a // g) * q_ - (b // g) * p for p, q_ in zip(row, v)]
-                vc2 = [(a // g) * q_ - (b // g) * p for p, q_ in zip(rc, vc)]
-                self.rows[i] = new_row
-                self.row_coeffs[i] = new_rc
-                v, vc = v2, vc2
+                self.rows[i] = [x * r + y * w for r, w in pairs]
+                v = [(a // g) * w - (b // g) * r for r, w in pairs]
 
     def express(self, vec: Sequence[int]) -> Optional[list[int]]:
         """Coefficients over the original generators, or None if outside."""
         vec = [int(x) for x in vec]
         if len(vec) != self.dim:
             raise InvalidDimension(f"vector of length {len(vec)}, lattice dim {self.dim}")
-        width = len(self.generators)
-        acc = [0] * width
-        v = list(vec)
-        for row, rc in zip(self.rows, self.row_coeffs):
+        acc = [0] * len(self.generators)
+        v = vec
+        for row in self.rows:
             j = self._pivot(row)
             if v[j] == 0:
                 continue
@@ -165,9 +152,9 @@ class IntegerLattice:
                 return None
             q = v[j] // row[j]
             v = [x - q * y for x, y in zip(v, row)]
-            for t in range(width):
-                if t < len(rc) and rc[t]:
-                    acc[t] += q * rc[t]
+            for t, c in enumerate(row[self.dim:]):
+                if c:
+                    acc[t] += q * c
         if any(v):
             return None
         return acc
@@ -224,7 +211,6 @@ def robust_vectors(
     beta: Fraction,
     *,
     mode: str = "exact",
-    cap: int = DEFAULT_COPY_CAP,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> dict[tuple[int, ...], RobustnessReport]:
     """Robustness of every achieved index vector of copy vertex sets.
@@ -239,11 +225,11 @@ def robust_vectors(
     if beta < 0:
         raise InvalidDimension("beta must be nonnegative")
     m = int(beta * H.n)
-    sets = supporting_sets(H, cap=cap)
+    sets = supporting_sets(H)
     block_masks = [_mask(b) for b in P.blocks]
     n = P.n
     by_vec: dict[tuple[int, ...], list[int]] = {}
-    for (vs, _), mask in zip(sets, set_masks(H, cap)):
+    for (vs, _), mask in zip(sets, set_masks(H)):
         if mask >> n:
             raise InvalidVertex(f"{vs} leaves the partition's vertex range")
         vec = tuple((mask & bm).bit_count() for bm in block_masks)
@@ -299,12 +285,11 @@ def has_transferral(
     j: int,
     *,
     mode: str = "exact",
-    cap: int = DEFAULT_COPY_CAP,
 ) -> TransferralReport:
     """Is u_i - u_j in the lattice spanned by the robust index vectors?"""
     if i == j or not (0 <= i < P.r and 0 <= j < P.r):
         raise InvalidDimension(f"invalid block indices {i}, {j}")
-    return _transferral(robust_vectors(H, P, beta, mode=mode, cap=cap), P.r, i, j)
+    return _transferral(robust_vectors(H, P, beta, mode=mode), P.r, i, j)
 
 
 def _transferral(

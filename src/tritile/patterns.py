@@ -72,10 +72,6 @@ class TriangleCopy:
         spine = tuple(sorted(self.apexes + self.tail))
         return (e1, e2, spine)
 
-    @property
-    def mask(self) -> int:
-        return _mask(self.base + self.apexes + self.tail)
-
     def sort_key(self):
         return (self.base, self.apexes, self.tail)
 

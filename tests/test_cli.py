@@ -478,6 +478,23 @@ def test_reach_without_enough_connectors_is_unknown(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "unknown"
 
 
+def test_pipeline_over_witness_budget_is_unknown_budget(tmp_path, capsys):
+    inst = tmp_path / "ext30.kg"
+    run(["gen", "extremal", "--k", "3", "--n", "30", "-o", str(inst)])
+    capsys.readouterr()
+    assert main(["pipeline", str(inst), "--gamma", "0"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "unknown-budget"
+    assert report["reason"] == "86493225 candidate subsets exceed budget 5000000"
+
+
+def test_dh_check_empty_a_and_b_exits_1(tmp_path, capsys):
+    inst = tmp_path / "J.kg"
+    save_kgraph(KGraph(5, 5, [(0, 1, 2, 3, 4)]), inst)
+    assert main(["dh-check", str(inst), "--a", " ", "--b", " "]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: B is empty"]
+
+
 def test_reach_over_budget_is_unknown_budget(tmp_path, capsys, monkeypatch):
     # An edgeless host has no connector; a 3-candidate budget runs out first.
     inst = tmp_path / "empty.kg"

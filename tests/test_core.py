@@ -18,6 +18,7 @@ from tritile.core import (
 )
 from tritile.constructions import extremal_construction, random_with_codegree
 from tritile.errors import (
+    BudgetExceeded,
     FormatError,
     InvalidArity,
     InvalidVertex,
@@ -112,6 +113,14 @@ def test_gamma_extremal_complete_false():
 def test_gamma_extremal_edgeless_true():
     verdict = is_gamma_extremal(KGraph(10, 3, []), Fraction(0))
     assert verdict.extremal
+
+
+def test_gamma_extremal_subset_budget_raises_before_search():
+    # C(30, 18) = 86 493 225 candidate witnesses, over the 5 M budget
+    with pytest.raises(BudgetExceeded) as blown:
+        is_gamma_extremal(extremal_construction(3, 30).graph, Fraction(0))
+    assert str(blown.value) == "86493225 candidate subsets exceed budget 5000000"
+    assert blown.value.partial_count == 0
 
 
 def test_gamma_extremal_heuristic_sound_for_true():

@@ -13,6 +13,7 @@ from tritile.errors import BudgetExceeded, InvalidPartiteStructure
 from tritile.exact import (
     build_auxiliary_graph,
     classify_good_bad,
+    corollary_check,
     corollary_thresholds,
     dh_condition,
     extremal_pipeline,
@@ -162,6 +163,14 @@ def test_dh_condition_values():
     assert dh_condition(four, [[0, 1, 2, 3], [4, 5, 6, 7]]).threshold == 2
 
 
+def test_degree_checks_reject_empty_classes():
+    with pytest.raises(InvalidPartiteStructure, match="classes are empty"):
+        dh_condition(KGraph(3, 3, []), [(), (), ()])
+    J = KGraph(5, 5, [(0, 1, 2, 3, 4)])
+    with pytest.raises(InvalidPartiteStructure, match="B is empty"):
+        corollary_check(J, (), (), Fraction(0))
+
+
 def test_corollary_thresholds_hand_computed():
     edge_thr, vertex_thr = corollary_thresholds(3, 5, Fraction(0))
     assert edge_thr == comb(15, 3) * comb(10, 2) == 20475
@@ -208,6 +217,12 @@ def test_build_auxiliary_graph_cap_bounds_the_host_sets():
     assert blown.value.partial_count == 11
     aux = build_auxiliary_graph(complete_kgraph(8, 3), range(5), range(5, 8), cap=56)
     assert aux.graph.edge_count() == comb(5, 3) * comb(3, 2)
+
+
+def test_pipeline_witness_budget_raises_before_search():
+    with pytest.raises(BudgetExceeded) as blown:
+        extremal_pipeline(extremal_construction(3, 30).graph, Fraction(0))
+    assert blown.value.partial_count == 0
 
 
 def test_pipeline_complete_success():

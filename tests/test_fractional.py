@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from tritile import fractional
 from tritile.core import KGraph, complete_kgraph
 from tritile.constructions import extremal_construction, random_with_codegree
-from tritile.errors import InvalidDimension
+from tritile.errors import BudgetExceeded, InvalidDimension
 from tritile.fractional import (
     FarkasCertificate,
     FractionalTiling,
@@ -35,6 +36,12 @@ def test_extremal_infeasible_with_canonical_certificate():
     assert hand.total() == -5
     assert verify_certificate(inst.graph, hand).valid
     assert check_certificate(inst.graph, hand)
+
+
+def test_pivot_cap_raises_budget_exceeded(monkeypatch):
+    monkeypatch.setattr(fractional, "_PIVOT_CAP", 0)
+    with pytest.raises(BudgetExceeded, match="simplex pivot cap 0 exceeded"):
+        perfect_fractional_tiling(complete_kgraph(10, 3))
 
 
 def test_edgeless_certificate_all_minus_one():
