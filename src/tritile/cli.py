@@ -303,6 +303,8 @@ def cmd_pipeline(args) -> tuple:
 
 
 def cmd_dh_check(args) -> tuple:
+    if (args.a is None) != (args.b is None):
+        raise UsageError("dh-check needs --a and --b together")
     J = load_kgraph(args.instance)
     fields: dict = {}
     verdicts = []
@@ -315,7 +317,7 @@ def cmd_dh_check(args) -> tuple:
             m = kpartite_perfect_matching(J, classes, budget=args.budget)
             fields["matching"] = None if m is None else [list(e) for e in m]
             verdicts.append(m is not None)
-    if args.a and args.b:
+    if args.a is not None:
         beta = parse_rational(args.beta) if args.beta else Fraction(0)
         rep = corollary_check(J, parse_vertices(args.a), parse_vertices(args.b), beta)
         fields["corollary"] = _exact_fields(rep)

@@ -10,6 +10,7 @@ failure is a genuine counterexample and never numeric noise.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -223,12 +224,11 @@ def max_tiling(H: KGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Ti
         return out
 
     best = greedy(range(len(sets)))
-    support = {vs: w for c, w in lp_tiling.weights.items() for vs in (c.vertices,)}
-    weighted = sorted(
-        range(len(sets)),
-        key=lambda r: (-support.get(sets[r][0], Fraction(0)), sets[r][0]),
-    )
-    alt = greedy(weighted)
+    # The LP's support first, heaviest first, then every row in row order;
+    # a support row met again is skipped, as it is in the packing or meets it.
+    support = sorted((-w, c.vertices) for c, w in lp_tiling.weights.items())
+    first = [bisect_left(index.vertex_sets, vs) for _, vs in support]
+    alt = greedy(itertools.chain(first, range(len(sets))))
     if len(alt) > len(best):
         best = alt
     best_rows = sorted(best)
@@ -381,6 +381,12 @@ def corollary_check(
         )
     if not B:
         raise InvalidPartiteStructure("B is empty")
+    if set(A) & set(B):
+        raise InvalidPartiteStructure("A and B meet")
+    outside = ~_mask(A + B)
+    for e in J.edges:
+        if _mask(e) & outside:
+            raise InvalidPartiteStructure(f"edge {e} leaves A + B")
     edge_thr, vertex_thr = corollary_thresholds(k, len(B) // 2, beta)
     worst_v, worst_d = _least_degree(J, A + B)
     ok = J.edge_count() >= edge_thr and worst_d >= vertex_thr

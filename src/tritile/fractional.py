@@ -19,11 +19,13 @@ a separate fresh Q.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import gcd, lcm
-from operator import add
+from operator import mul
+from sys import byteorder
 from typing import Optional, Sequence
 
 from .core import KGraph
@@ -35,6 +37,11 @@ _ONE = Fraction(1)
 # The lexicographic ratio test cannot cycle, so a solve that reaches this
 # many pivots is a bug, not a hard instance.
 _PIVOT_CAP = 1_000_000
+# Pricing packs the block's incidence into one int per row, one unsigned
+# field of this array type per block column.
+_FIELD = "H"
+_FIELD_BYTES = array(_FIELD).itemsize
+_FIELD_BITS = 8 * _FIELD_BYTES
 
 
 # -- data ------------------------------------------------------------------
@@ -117,7 +124,27 @@ def frac_str(q) -> str:
 # test against an identity reference, which is anti-cycling and
 # deterministic and copes with the massive degeneracy of the min-max
 # programs (Bland stalls there).  The duals y = c_B B^-1 are computed once
-# per solve and carried across pivots.
+# per solve and carried across pivots.  The block is priced in one packed
+# big-integer pass per pivot ("SIMD within a register", Lamport, CACM 1975):
+# its incidence is packed at set-up into one int per row, a field per column.
+
+
+def _pack(block, nrows):
+    """One int per row: field j of row r's int (``_FIELD_BITS`` wide) is 1
+    when block column j holds row r.  The rows are packed one at a time."""
+    cols = [[] for _ in range(nrows)]
+    appends = [c.append for c in cols]
+    for j, rows in enumerate(block):
+        for r in rows:
+            appends[r](j)
+    packed = []
+    for r in range(nrows):
+        at, cols[r] = cols[r], None
+        fields = array(_FIELD, [0]) * (at[-1] + 1 if at else 0)
+        for j in at:
+            fields[j] = 1
+        packed.append(int.from_bytes(fields, byteorder))
+    return packed
 
 
 def _identity(n: int) -> list[list[Fraction]]:
@@ -150,11 +177,9 @@ class _Simplex:
     ):
         self.nrows = nrows
         self.m = len(block)
+        self.block = block
         self.block_cost = block_cost
-        # positions[p][j] is the p-th row of block column j: every block
-        # column has the same number of rows, so the block prices as one
-        # lazy pass of sums, position by position.
-        self.positions = list(zip(*block))
+        self.packed = _pack(block, nrows)
         self.others = others
         self.basis = list(basis)
         self.binv = _identity(nrows)
@@ -165,7 +190,7 @@ class _Simplex:
     def _col(self, j):
         """(rows, coefficient, cost) of column j."""
         if j < self.m:
-            return tuple(at[j] for at in self.positions), 1, self.block_cost
+            return self.block[j], 1, self.block_cost
         col = self.others[j - self.m]
         return col.rows, col.coef, col.cost
 
@@ -173,7 +198,7 @@ class _Simplex:
         """Primal simplex from the held basis; returns (objective, duals)
         and leaves the final basis, B^-1 and basic values in place."""
         n = self.nrows
-        positions, block_cost, m = self.positions, self.block_cost, self.m
+        block_cost, m = self.block_cost, self.m
         basis, binv, xb = self.basis, self.binv, self.xb
         # Lexicographic reference: rows (xb_i | Q_i) with Q starting at
         # identity are lex-positive and stay so under the lex ratio rule.  Q
@@ -204,15 +229,10 @@ class _Simplex:
             entering = -1
             best_t = 0
             if m:
-                get = yi.__getitem__
-                acc = map(get, positions[0])
-                for at in positions[1:]:
-                    acc = map(add, acc, map(get, at))
-                sums = list(acc)
-                pick = max(sums) if minimize else min(sums)
+                pick, j = self._price(yi, minimize)
                 t = block_cost * scale - pick
                 if (t < 0) if minimize else (t > 0):
-                    best_t, entering = t, sums.index(pick)
+                    best_t, entering = t, j
             for j, rows, coef, cost in others:
                 t = cost * scale - coef * sum(map(yi.__getitem__, rows))
                 if (t < best_t) if minimize else (t > best_t):
@@ -240,6 +260,35 @@ class _Simplex:
                 if v:
                     y[r] += rc * v
         raise BudgetExceeded(f"simplex pivot cap {_PIVOT_CAP} exceeded")
+
+    def _price(self, yi, minimize):
+        """(sum, j) for the block column j whose rows' duals ``yi`` sum
+        highest (lowest when maximizing), the least j on ties.
+
+        Summing w_r * packed[r] over the rows, with w_r = yi[r] - min(yi),
+        puts each column's sum of w in its field.  Every column has the same
+        number of rows R, so the offset lowers every sum by R * min(yi) and
+        keeps their order.  When R times the duals' range overflows a field,
+        each w_r drops its low ``shift`` bits, and a field then reads under
+        its column's sum by less than R << shift: only the columns whose
+        field is within R of the best one can be best, and those few are
+        summed exactly."""
+        R = len(self.block[0])
+        lo = min(yi)
+        shift = max(0, (R * (max(yi) - lo)).bit_length() - _FIELD_BITS)
+        total = sum(map(mul, [(v - lo) >> shift for v in yi], self.packed))
+        fields = array(_FIELD, total.to_bytes(_FIELD_BYTES * self.m, byteorder))
+        best = max(fields) if minimize else min(fields)
+        if not shift:
+            return best + R * lo, fields.index(best)
+        if minimize:
+            near = compress(count(), map((best - R).__lt__, fields))
+        else:
+            near = compress(count(), map((best + R).__gt__, fields))
+        block, get = self.block, yi.__getitem__
+        sums = {j: sum(map(get, block[j])) for j in near}
+        j = (max if minimize else min)(sums, key=sums.__getitem__)
+        return sums[j], j
 
     @staticmethod
     def _lex_less(i, j, d, xb, Q):

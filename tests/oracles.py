@@ -25,6 +25,14 @@ def oracle_supports(H, S):
     return False
 
 
+def oracle_price(block, duals, minimize):
+    """(sum, j) for the column j of ``block`` whose rows' duals sum highest
+    (lowest when not minimizing), the least j on ties, by plain sums."""
+    sums = [sum(duals[r] for r in column) for column in block]
+    best = max(sums) if minimize else min(sums)
+    return best, sums.index(best)
+
+
 def oracle_perfect_tiling(H):
     """Naive recursive partition search into pattern-supporting blocks."""
     s = 2 * H.k - 1

@@ -495,6 +495,14 @@ def test_dh_check_empty_a_and_b_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: B is empty"]
 
 
+@pytest.mark.parametrize("given", [["--a", "0-2"], ["--b", "3-5"]])
+def test_dh_check_with_one_of_a_and_b_exits_1(tmp_path, capsys, given):
+    inst = tmp_path / "bip.kg"
+    save_kgraph(KGraph(6, 2, [(i, j) for i in range(3) for j in range(3, 6)]), inst)
+    assert main(["dh-check", str(inst), "--classes", "0,1,2;3,4,5", *given]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: dh-check needs --a and --b together"]
+
+
 def test_reach_over_budget_is_unknown_budget(tmp_path, capsys, monkeypatch):
     # An edgeless host has no connector; a 3-candidate budget runs out first.
     inst = tmp_path / "empty.kg"

@@ -148,6 +148,7 @@ ERRORS = {
     "gen-random-needs-seed": ["gen", "random", "--n", "9", "--k", "3"],
     "float-rational": ["lattice", "k10.kg", "--blocks", "0-4;5-9", "--beta", "0.5"],
     "dh-check-needs-mode": ["dh-check", "k5.kg"],
+    "dh-check-a-without-b": ["dh-check", "bip.kg", "--classes", "0,1,2;3,4,5", "--a", "0-2"],
 }
 
 GEN = {
@@ -164,6 +165,7 @@ HELP = [
 # Digests taken before the command table replaced the per-command report code.
 PINS = {
     'batch-csv': '365bf7393373df4fa78ac5ea8d9599d575ba3a58e8eaf8f08416c7ba43a4ccdc',
+    'error:dh-check-a-without-b': '028f59b961f14f3a2d35f62bffb4cc3c190a2b17c2fcf6e796d23cafdd5e7700',
     'error:dh-check-needs-mode': '20161ac14d873e1fc2cfddd37cc817247f566d2a6d0e01455f206f6cedce3a0f',
     'error:float-rational': '9b3e95a5c82c2be6966c67e3346944e6ff0ece87f58074aa5981eff4a6e36d4c',
     'error:gen-random-needs-seed': '0d246756f1dfc86b586333d561b302f47f70e285434e713531a1f4810888b866',

@@ -171,6 +171,13 @@ def test_degree_checks_reject_empty_classes():
         corollary_check(J, (), (), Fraction(0))
 
 
+def test_corollary_check_rejects_meeting_parts_and_stray_edges():
+    with pytest.raises(InvalidPartiteStructure, match="A and B meet"):
+        corollary_check(KGraph(3, 3, [(0, 1, 2)]), (0,), (0, 1), 0)
+    with pytest.raises(InvalidPartiteStructure, match=r"edge \(0, 1, 3\) leaves A \+ B"):
+        corollary_check(KGraph(4, 3, [(0, 1, 3)]), (0,), (1, 2), 0)
+
+
 def test_corollary_thresholds_hand_computed():
     edge_thr, vertex_thr = corollary_thresholds(3, 5, Fraction(0))
     assert edge_thr == comb(15, 3) * comb(10, 2) == 20475

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from tritile import fractional
 from tritile.constructions import extremal_construction, random_with_codegree
 from tritile.core import KGraph, complete_kgraph
 from tritile.fractional import (
@@ -109,6 +110,22 @@ def test_b_avoiding_answer_bytes_are_pinned(pairs):
     H = random_with_codegree(12, 3, 3, seed=0)
     answer = b_avoiding_fractional_tiling(H, KGraph(12, 2, pairs))
     assert _digest(answer) == AVOIDING_PINS[pairs]
+
+
+def test_pins_cover_both_pricing_paths(monkeypatch):
+    """K10 min-max prices some passes with duals too wide for the packed
+    fields and some without, so its pin covers both pricing paths."""
+    price = fractional._Simplex._price
+    wide = []
+
+    def recording_price(sx, yi, minimize):
+        R = len(sx.block[0])
+        wide.append((R * (max(yi) - min(yi))).bit_length() > fractional._FIELD_BITS)
+        return price(sx, yi, minimize)
+
+    monkeypatch.setattr(fractional._Simplex, "_price", recording_price)
+    min_max_pair_weight(HOSTS["K10"]())
+    assert any(wide) and not all(wide)
 
 
 def test_pins_cover_both_verdicts():

@@ -29,7 +29,7 @@ from tritile.fractional import (
 )
 from tritile.validate import check_certificate, check_fractional, check_tiling
 
-from oracles import oracle_cover_search
+from oracles import oracle_cover_search, oracle_price
 
 
 @st.composite
@@ -199,6 +199,41 @@ def test_retired_column_never_enters():
     barred.retire([2])
     assert barred.solve() == (2, [2]) and barred.basis == [0]
     assert barred.xb == [1]
+
+
+@st.composite
+def priced_blocks(draw):
+    """A block of columns, each R distinct rows of ``nrows``, repeated
+    columns included, and integer duals of both signs.  A dual is a multiple
+    of a drawn step plus a small term: steps of 2**20 and 2**70 make duals
+    too wide for the packed fields, and the small terms make columns tie
+    once the duals are truncated."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nrows = draw(st.integers(1, 9))
+    R = draw(st.integers(1, nrows))
+    kinds = [tuple(sorted(rng.sample(range(nrows), R))) for _ in range(rng.randint(1, 8))]
+    block = [rng.choice(kinds) for _ in range(draw(st.integers(1, 40)))]
+    step = draw(st.sampled_from([1, 2**20, 2**70]))
+    duals = [rng.randint(-3, 3) * step + rng.randint(-3, 3) for _ in range(nrows)]
+    return nrows, block, duals
+
+
+@given(priced_blocks(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_packed_pricing_matches_plain_sums(case, minimize):
+    nrows, block, duals = case
+    sx = fractional._Simplex(nrows, block, 0, [], [0] * nrows, [0] * nrows)
+    assert sx._price(duals, minimize) == oracle_price(block, duals, minimize)
+
+
+def test_packed_pricing_looks_past_the_best_field():
+    """With X = 2**20 the fields drop 6 bits.  Column 0 sums 2X - 2 and
+    column 1 sums 2X - 3, but their fields read 2**15 - 2 and 2**15 - 1, so
+    each sense's best column has a field one off the best field."""
+    X = 2**20
+    sx = fractional._Simplex(4, [(0, 1), (2, 3)], 0, [], [0] * 4, [0] * 4)
+    assert sx._price([X - 1, X - 1, 2 * X - 3, 0], True) == (2 * X - 2, 0)
+    assert sx._price([X - 1, X - 1, 2 * X - 3, 0], False) == (2 * X - 3, 1)
 
 
 @st.composite
