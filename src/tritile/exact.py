@@ -31,8 +31,8 @@ from .patterns import (
     DEFAULT_COPY_CAP,
     Tiling,
     TriangleCopy,
-    _rows_by_vertex,
     _set_index,
+    _vertex_bits,
     supporting_sets,
 )
 
@@ -45,42 +45,42 @@ DEFAULT_NODE_BUDGET = 2_000_000
 class _CoverSearch:
     """Exact cover of a vertex universe by disjoint rows.
 
-    ``by_vertex`` maps each universe vertex to the indices of the rows that
-    contain it, every such row lying inside the universe; ``row_masks`` gives
-    each row's vertex mask.  Deterministic: the branching vertex is the
-    uncovered one with the fewest live rows (ties to the first in universe
-    order), rows are tried in their listed order.  ``accept(chosen)``, when
-    given, sees the partial cover after each appended row and prunes it by
-    returning False.  Node budget guards runaway instances.
+    ``live`` maps each universe vertex, in universe order, to the bitset of
+    the rows that contain it (bit r for row r), every such row lying inside
+    the universe; ``row_masks`` gives each row's vertex mask.
+    Deterministic: the branching vertex is the uncovered one with the fewest
+    live rows (ties to the first in universe order), and its rows are tried
+    by ascending index.  ``accept(chosen)``, when given, sees the partial
+    cover after each appended row and prunes it by returning False.  Node
+    budget guards runaway instances.
 
     Each node hands its live rows to its children, as dancing links does
-    (Knuth, "Dancing Links", 2000): the root reads ``by_vertex`` as it is,
-    and a child filters only its parent's live rows, against the one row
-    just chosen, so no node rereads rows that an earlier choice killed.
+    (Knuth, "Dancing Links", 2000), as one big int per vertex, the
+    bit-parallel idiom of exact clique search (San Segundo et al., Comput.
+    Oper. Res. 38, 2011).  The live rows of the chosen row's vertices are
+    exactly the live rows that meet it, so a child ORs those into a kill
+    mask and clears it from every other vertex's live rows.
     """
 
     def __init__(
         self,
-        universe: Sequence[int],
-        by_vertex: dict[int, list[int]],
+        live: dict[int, int],
         row_masks: Sequence[int],
         budget: int,
         accept: Optional[Callable[[list[int]], bool]] = None,
     ):
-        self.universe = tuple(universe)
-        self.by_vertex = by_vertex
+        self.live = live
         self.row_masks = row_masks
         self.budget = budget
         self.accept = accept
         self.nodes = 0
-        self.full = _mask(self.universe)
+        self.full = _mask(live)
 
     def run(self) -> Optional[list[int]]:
-        live = {v: self.by_vertex[v] for v in self.universe}
-        return self._search(0, 0, live, [])
+        return self._search(0, 0, self.live, [])
 
     def _search(
-        self, covered: int, row: int, live: dict[int, list[int]], chosen: list[int]
+        self, covered: int, row: int, live: dict[int, int], chosen: list[int]
     ) -> Optional[list[int]]:
         """Search below the node reached by adding the row of mask ``row`` to
         ``covered``; ``live`` holds the parent's live rows of every vertex
@@ -91,18 +91,26 @@ class _CoverSearch:
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"cover search exceeded {self.budget} nodes")
-        row_masks = self.row_masks
         if row:
+            kill = 0
+            for v, rows in live.items():
+                if row >> v & 1:
+                    kill |= rows
+            keep = ~kill
             parent, live = live, {}
             for v, rows in parent.items():
                 if not row >> v & 1:
-                    rows = [r for r in rows if not row_masks[r] & row]
+                    rows &= keep
                     if not rows:
                         return None
                     live[v] = rows
-        best = min(live.values(), key=len)
+        best = min(live.values(), key=int.bit_count)
+        row_masks = self.row_masks
         accept = self.accept
-        for r in best:
+        while best:
+            low = best & -best
+            best ^= low
+            r = low.bit_length() - 1
             chosen.append(r)
             if accept is None or accept(chosen):
                 found = self._search(covered, row_masks[r], live, chosen)
@@ -143,8 +151,8 @@ def _disjoint_rows(masks: Sequence[int], want: int, budget: int) -> Optional[lis
 def _edge_cover(universe: Sequence[int], edges: Sequence[tuple[int, ...]], budget: int):
     """Perfect matching of ``universe`` by ``edges``, all inside it: the
     chosen edge indices, or None."""
-    by_vertex = _rows_by_vertex(universe, enumerate(edges))
-    return _CoverSearch(universe, by_vertex, [_mask(e) for e in edges], budget).run()
+    live = _vertex_bits(universe, edges)
+    return _CoverSearch(live, [_mask(e) for e in edges], budget).run()
 
 
 # -- tilings -------------------------------------------------------------------
@@ -191,7 +199,7 @@ def _decide_perfect_tiling(
         if isinstance(verdict, FarkasCertificate):
             return None, "farkas", verdict
     index = _set_index(H)
-    rows = _CoverSearch(range(H.n), index.vertex_rows(), index.masks, budget).run()
+    rows = _CoverSearch(index.vertex_bits(), index.masks, budget).run()
     if rows is None:
         return None, "cover", None
     return Tiling(tuple(sets[r][1] for r in rows), H.n), None, None
@@ -236,7 +244,7 @@ def max_tiling(H: KGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Ti
 
     if lo < hi:
         n = H.n
-        by_vertex = index.vertex_rows()
+        bits = index.vertex_bits()
         state = {"best": best_rows, "lo": lo, "nodes": 0}
 
         def undecided_count(decided: int) -> int:
@@ -260,7 +268,11 @@ def max_tiling(H: KGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Ti
             v = 0
             while decided >> v & 1:
                 v += 1
-            for r in by_vertex[v]:
+            rows = bits[v]  # tried by ascending index
+            while rows:
+                low = rows & -rows
+                rows ^= low
+                r = low.bit_length() - 1
                 if not masks[r] & decided:
                     chosen.append(r)
                     bnb(decided | masks[r], chosen)

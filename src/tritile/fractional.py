@@ -472,8 +472,9 @@ def verify_certificate(
     if cert.total() >= 0:
         return CertificateCheck(False, f"a.1 = {cert.total()} is not negative")
     sets = supporting_sets(H) if sets is None else sets
+    coeff = cert.coeffs.__getitem__
     for vs, witness in sets:
-        value = sum(cert.coeffs[v] for v in vs)
+        value = sum(map(coeff, vs))
         if value < 0:
             return CertificateCheck(
                 False, f"copy on {vs} has a.1_V = {value}", witness

@@ -25,7 +25,7 @@ from .errors import (
     InvalidVertex,
 )
 from .exact import DEFAULT_NODE_BUDGET, _CoverSearch, _disjoint_rows
-from .patterns import _set_index, set_masks, supporting_sets
+from .patterns import _set_index, _vertex_bits
 
 YES = "yes"
 NO = "no"
@@ -175,34 +175,37 @@ class RobustnessReport:
     removable: int  # floor(beta n): the W budget the family must survive
 
 
-def _min_hit_decision(family: list[int], limit: int, budget: int) -> Optional[list[int]]:
-    """Hitting set of <= limit vertices over bitmask family, or None."""
-    nodes = {"n": 0}
+def _min_hit_decision(
+    family: list[tuple[int, ...]], limit: int, budget: int
+) -> Optional[list[int]]:
+    """Hitting set of <= limit vertices over a family of sorted vertex
+    tuples, or None.
 
-    def rec(fam: list[int], depth: int, chosen: list[int]) -> Optional[list[int]]:
-        if not fam:
+    Depth first: a node branches on the vertices of the first member not
+    yet hit, ascending.  Member i is bit i of each vertex's bitset, so a
+    branch drops the members its vertex hits with one AND.
+    """
+    hits = _vertex_bits(set().union(*family), family)
+    nodes = 0
+
+    def rec(alive: int, depth: int, chosen: list[int]) -> Optional[list[int]]:
+        nonlocal nodes
+        if not alive:
             return list(chosen)
         if depth == limit:
             return None
-        nodes["n"] += 1
-        if nodes["n"] > budget:
+        nodes += 1
+        if nodes > budget:
             raise BudgetExceeded(f"hitting-set search exceeded {budget} nodes")
-        first = fam[0]
-        v = 0
-        m = first
-        while m:
-            if m & 1:
-                rest = [f for f in fam if not f >> v & 1]
-                chosen.append(v)
-                found = rec(rest, depth + 1, chosen)
-                if found is not None:
-                    return found
-                chosen.pop()
-            m >>= 1
-            v += 1
+        for v in family[(alive & -alive).bit_length() - 1]:
+            chosen.append(v)
+            found = rec(alive & ~hits[v], depth + 1, chosen)
+            if found is not None:
+                return found
+            chosen.pop()
         return None
 
-    return rec(family, 0, [])
+    return rec((1 << len(family)) - 1, 0, [])
 
 
 def robust_vectors(
@@ -225,15 +228,15 @@ def robust_vectors(
     if beta < 0:
         raise InvalidDimension("beta must be nonnegative")
     m = int(beta * H.n)
-    sets = supporting_sets(H)
+    index = _set_index(H)
     block_masks = [_mask(b) for b in P.blocks]
     n = P.n
-    by_vec: dict[tuple[int, ...], list[int]] = {}
-    for (vs, _), mask in zip(sets, set_masks(H)):
+    by_vec: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for vs, mask in zip(index.vertex_sets, index.masks):
         if mask >> n:
             raise InvalidVertex(f"{vs} leaves the partition's vertex range")
         vec = tuple((mask & bm).bit_count() for bm in block_masks)
-        by_vec.setdefault(vec, []).append(mask)
+        by_vec.setdefault(vec, []).append(vs)
     out = {}
     for vec in sorted(by_vec):
         fam = by_vec[vec]
@@ -255,7 +258,7 @@ def robust_vectors(
                 out[vec] = RobustnessReport(vec, "not-robust", mode, tau, m)
         elif mode == "packing-bound":
             try:
-                packed = _disjoint_rows(fam, m + 1, budget)
+                packed = _disjoint_rows(list(map(_mask, fam)), m + 1, budget)
             except BudgetExceeded:
                 out[vec] = RobustnessReport(vec, UNKNOWN, mode, 0, m)
                 continue
@@ -328,10 +331,10 @@ def perfectly_tilable(H: KGraph, vertices: Sequence[int], budget: int = 200_000)
     index = _set_index(H)
     if len(vs) == s:
         return index.contains(vs)
-    by_vertex = index.rows_inside(vs)
-    if not any(by_vertex.values()):
+    live = index.bits_inside(vs)
+    if not any(live.values()):
         return False
-    return _CoverSearch(vs, by_vertex, index.masks, budget).run() is not None
+    return _CoverSearch(live, index.masks, budget).run() is not None
 
 
 def _check_range(H: KGraph, vs: Sequence[int]) -> None:
@@ -418,7 +421,7 @@ def reachable(
             found += 1
         return YES
     if mode == "exact":
-        family = [_mask(S) for S in _connectors(H, u, v, t, {u, v}, budget)]
+        family = list(_connectors(H, u, v, t, {u, v}, budget))
         # an empty family is hit by the empty set: NO
         hit = _min_hit_decision(family, m, budget)
         return NO if hit is not None else YES

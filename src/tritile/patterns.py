@@ -13,7 +13,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import KGraph, _mask, canonical_vertex_set
 from .errors import (
@@ -128,6 +128,16 @@ def supports_triangle(H: KGraph, S: Iterable[int]) -> Optional[TriangleCopy]:
     return None
 
 
+# The slot setters of TriangleCopy.  The index and ``enumerate_copies``
+# build copies from parts that are already sorted tuples, so they fill the
+# slots directly and skip the frozen dataclass's __init__ and
+# __post_init__: on ext(3,20) (9212 sets) that builds the witnesses in 14 ms
+# instead of 37 ms (one core of a 2-vCPU shared VM, CPython 3.11).
+_COPY_SLOT_SETTERS = tuple(
+    TriangleCopy.__dict__[name].__set__ for name in ("base", "apexes", "tail")
+)
+
+
 _Spine = tuple[tuple[int, ...], int]  # (tail, spine edge mask)
 
 
@@ -182,6 +192,9 @@ def enumerate_copies(
     if cap <= 0:
         raise ValueError("cap must be positive")
     outside = 0 if restrict is None else ~_mask(canonical_vertex_set(restrict))
+    # the walk's parts are sorted tuples already, so no copy needs re-sorting
+    new = object.__new__
+    set_base, set_apexes, set_tail = _COPY_SLOT_SETTERS
     out = []
     for base, bm, a, b, spines in _copies(H):
         if bm & outside:
@@ -190,7 +203,11 @@ def enumerate_copies(
         barred = bm | outside  # a spine meeting these meets the base or leaves restrict
         for tail, em in spines:
             if not em & barred:
-                out.append(TriangleCopy(base, apexes, tail))
+                copy = new(TriangleCopy)
+                set_base(copy, base)
+                set_apexes(copy, apexes)
+                set_tail(copy, tail)
+                out.append(copy)
                 if len(out) > cap:
                     raise BudgetExceeded(
                         f"copy count exceeds cap {cap}", partial_count=len(out)
@@ -227,27 +244,17 @@ def set_masks(H: KGraph, cap: int = DEFAULT_COPY_CAP) -> list[int]:
     return _set_index(H, cap).masks
 
 
-# The slot setters of TriangleCopy.  The index builds a host's witnesses
-# from parts that are already sorted tuples, so it fills the slots directly
-# and skips the frozen dataclass's __init__ and __post_init__: on ext(3,20)
-# (9212 sets) that builds the witnesses in 14 ms instead of 37 ms (one core
-# of a 2-vCPU shared VM, CPython 3.11).
-_COPY_SLOT_SETTERS = tuple(
-    TriangleCopy.__dict__[name].__set__ for name in ("base", "apexes", "tail")
-)
-
-
 class _SetIndex:
     """A host's supporting sets, sorted by vertex set, with their vertex masks.
 
-    Row r is the set ``vertex_sets[r]``.  The least witnesses and the rows
-    containing each vertex are built on first use, so a caller that reads
-    only vertex sets and masks, as ``set_masks`` and
+    Row r is the set ``vertex_sets[r]``.  The least witnesses and the
+    per-vertex row bitsets are built on first use, so a caller that reads
+    only vertex sets, masks and bitsets, as ``set_masks`` and
     ``lattice.perfectly_tilable`` do, never pays for the witnesses, and a
-    host whose questions the LP settles never pays for the per-vertex rows.
+    host whose questions the LP settles never pays for the bitsets.
     """
 
-    __slots__ = ("vertex_sets", "masks", "starts", "_bases", "_sets", "_by_vertex")
+    __slots__ = ("n", "vertex_sets", "masks", "_bases", "_sets", "_bits")
 
     def __init__(self, H: KGraph, cap: int):
         # One pass over the edges per base, in sorted base order: a spine
@@ -278,9 +285,8 @@ class _SetIndex:
         # the spine edge is the row's mask without the base mask
         self._bases = [found for _, _, found in rows]
         self._sets: Optional[list[tuple[tuple[int, ...], TriangleCopy]]] = None
-        # rows whose least vertex is u are starts[u] <= r < starts[u + 1]
-        self.starts = [bisect_left(self.vertex_sets, (u,)) for u in range(H.n + 1)]
-        self._by_vertex: Optional[dict[int, list[int]]] = None
+        self.n = H.n
+        self._bits: Optional[dict[int, int]] = None
 
     def sets(self) -> list[tuple[tuple[int, ...], TriangleCopy]]:
         """Every row as (vertex set, least witness), built on first use and
@@ -311,31 +317,30 @@ class _SetIndex:
             self._sets = sets
         return self._sets
 
-    def vertex_rows(self) -> dict[int, list[int]]:
-        """Every vertex's rows, in canonical order.  Callers must not mutate."""
-        if self._by_vertex is None:
-            n = len(self.starts) - 1
-            self._by_vertex = _rows_by_vertex(range(n), enumerate(self.vertex_sets))
-        return self._by_vertex
+    def vertex_bits(self) -> dict[int, int]:
+        """Every vertex's row bitset, vertices ascending: bit r is set when
+        row r holds the vertex.  Callers must not mutate the dict."""
+        if self._bits is None:
+            self._bits = _vertex_bits(range(self.n), self.vertex_sets)
+        return self._bits
 
     def contains(self, vs: tuple[int, ...]) -> bool:
         """Is the canonical (2k-1)-tuple ``vs`` a supporting set?"""
         r = bisect_left(self.vertex_sets, vs)
         return r < len(self.vertex_sets) and self.vertex_sets[r] == vs
 
-    def rows_inside(self, vs: tuple[int, ...]) -> dict[int, list[int]]:
-        """``vertex_rows`` restricted to the sets inside the canonical tuple
-        ``vs``, for its vertices only.  Only rows whose least vertex lies in
-        ``vs`` are read."""
-        outside = ~_mask(vs)
-        vertex_sets, masks, starts = self.vertex_sets, self.masks, self.starts
-        by_vertex: dict[int, list[int]] = {v: [] for v in vs}
-        for u in vs:
-            for r in range(starts[u], starts[u + 1]):
-                if not masks[r] & outside:
-                    for v in vertex_sets[r]:
-                        by_vertex[v].append(r)
-        return by_vertex
+    def bits_inside(self, vs: tuple[int, ...]) -> dict[int, int]:
+        """``vertex_bits`` restricted to the sets inside the canonical tuple
+        ``vs``, for its vertices only: a row is inside unless a vertex
+        outside ``vs`` holds it."""
+        bits = self.vertex_bits()
+        members = _mask(vs)
+        outside = 0
+        for u, rows in bits.items():
+            if not members >> u & 1:
+                outside |= rows
+        inside = ~outside
+        return {v: bits[v] & inside for v in vs}
 
 
 def _set_index(H: KGraph, cap: int = DEFAULT_COPY_CAP) -> _SetIndex:
@@ -357,16 +362,19 @@ def _mask_vertices(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _rows_by_vertex(
-    universe: Iterable[int], rows: Iterable[tuple[int, Iterable[int]]]
-) -> dict[int, list[int]]:
-    """Row indices per vertex of ``universe``, from (index, vertex tuple)
-    pairs given in row order; every row must lie inside ``universe``."""
-    by_vertex: dict[int, list[int]] = {v: [] for v in universe}
-    for r, vs in rows:
+def _vertex_bits(
+    universe: Iterable[int], rows: Sequence[Iterable[int]]
+) -> dict[int, int]:
+    """Each vertex of ``universe``, in its order, with its row bitset: bit r
+    is set when ``rows[r]`` holds the vertex.  Every row must lie inside
+    ``universe``.  Each bitset is read from one string of '0'/'1' flags, the
+    last row first; OR-ing in one bit per row would take quadratic time."""
+    last = len(rows) - 1
+    flags = {v: bytearray(b"0") * len(rows) for v in universe}
+    for p, vs in zip(range(last, -1, -1), rows):
         for v in vs:
-            by_vertex[v].append(r)
-    return by_vertex
+            flags[v][p] = 49  # ord("1")
+    return {v: int(f, 2) if f else 0 for v, f in flags.items()}
 
 
 def _check_set_cap(count: int, cap: int) -> None:

@@ -187,25 +187,31 @@ def rainbow_perfect_tiling(
     # is usable iff its three edge slots can take distinct hosts.  The hosts
     # of the base edges are looked up once per apex, and a row keeps only
     # its mask and its pair's (base, base mask, a, b, x, y), from which the
-    # chosen rows' tails and spine hosts are read back.  A base's rows (a
-    # base and apex a's rows) come out consecutively and reach its vertices
-    # (reach a) in one extend; rows are numbered in order, so every
-    # vertex's rows come out sorted.
+    # chosen rows' tails and spine hosts are read back.  Each vertex's row
+    # bitset is read from its flags, flags[v][r] == ord("1") when row r holds
+    # v.  A base's rows (a base and apex a's rows) come out consecutively,
+    # so the base's vertices (a) are flagged with one slice of ones; b and
+    # the tail are flagged row by row.
     pairs: list[tuple[tuple[int, ...], int, int, int, int, int]] = []  # per usable row
     masks: list[int] = []
-    by_vertex: dict[int, list[int]] = {v: [] for v in range(n)}
+    flags = [bytearray() for _ in range(n)]
     servable = 0  # hosts that can serve some slot of a usable copy
     for (base, bm), base_groups in groupby(_copies(union), itemgetter(0, 1)):
-        base_rows: list[int] = []
+        base_start = len(masks)
         for a, a_groups in groupby(base_groups, itemgetter(2)):
             x = edge_hosts[bm | 1 << a]
-            a_rows: list[int] = []
+            a_start = len(masks)
             for _, _, _, b, spines in a_groups:
                 y = edge_hosts[bm | 1 << b]
                 if not _hall_pair(x, y):
                     continue
+                room = len(masks) + len(spines)
+                if room > len(flags[0]):
+                    for f in flags:
+                        f += b"0" * (max(room, 2 * len(f)) - len(f))
                 xy = x | y
                 pair = (base, bm, a, b, x, y)
+                fb = flags[b]
                 for tail, em in spines:
                     if em & bm:
                         continue
@@ -213,17 +219,17 @@ def rainbow_perfect_tiling(
                     if not _hall_spine(x, y, xy, z):
                         continue
                     r = len(masks)
-                    by_vertex[b].append(r)
+                    fb[r] = 49
                     for v in tail:
-                        by_vertex[v].append(r)
-                    a_rows.append(r)
+                        flags[v][r] = 49
                     pairs.append(pair)
                     masks.append(bm | em)
                     servable |= xy | z
-            by_vertex[a] += a_rows
-            base_rows += a_rows
+            end = len(masks)
+            flags[a][a_start:end] = b"1" * (end - a_start)
+        end = len(masks)
         for v in base:
-            by_vertex[v] += base_rows
+            flags[v][base_start:end] = b"1" * (end - base_start)
     # A rainbow tiling uses every host exactly once.
     if servable != (1 << m) - 1:
         return None
@@ -239,7 +245,9 @@ def rainbow_perfect_tiling(
     def fits(chosen: list[int]) -> bool:
         return _bipartite_saturates(slot_hosts(chosen))
 
-    rows = exact._CoverSearch(range(n), by_vertex, masks, budget, fits).run()
+    rows_end = len(masks)
+    live = {v: int(f[:rows_end][::-1] or b"0", 2) for v, f in enumerate(flags)}
+    rows = exact._CoverSearch(live, masks, budget, fits).run()
     if rows is None:
         return None
     rows.sort()  # row order is the canonical copy order

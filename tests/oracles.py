@@ -7,6 +7,8 @@ recursive partition, lattice membership by bounded coefficient search.
 
 import itertools
 
+from tritile.errors import BudgetExceeded
+
 
 def oracle_supports(H, S):
     S = tuple(sorted(S))
@@ -143,3 +145,37 @@ def oracle_cover_search(universe, by_vertex, row_masks, accept=None):
 
     rows = search(0, [])
     return rows, nodes
+
+
+def oracle_min_hit_decision(family, limit, budget):
+    """Hitting set of <= limit vertices over the bitmask ``family``, or None,
+    by re-filtering the list of members not yet hit at every node: each node
+    branches on the vertices of the first such member, ascending, and more
+    than ``budget`` nodes raise BudgetExceeded."""
+    nodes = 0
+
+    def rec(fam, depth, chosen):
+        nonlocal nodes
+        if not fam:
+            return list(chosen)
+        if depth == limit:
+            return None
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"hitting-set search exceeded {budget} nodes")
+        first = fam[0]
+        v = 0
+        m = first
+        while m:
+            if m & 1:
+                rest = [f for f in fam if not f >> v & 1]
+                chosen.append(v)
+                found = rec(rest, depth + 1, chosen)
+                if found is not None:
+                    return found
+                chosen.pop()
+            m >>= 1
+            v += 1
+        return None
+
+    return rec(family, 0, [])

@@ -20,6 +20,7 @@ from tritile.patterns import (
     count_tight_2paths,
     enumerate_copies,
     generalized_triangle,
+    _set_index,
     supporting_sets,
     set_masks,
     supports_triangle,
@@ -234,6 +235,28 @@ def test_supporting_sets_match_brute_force(case, data):
         assert (reports[vec].status, reports[vec].value) == (status, tau)
 
 
+@given(hosts_and_subsets())
+@settings(max_examples=150, deadline=None)
+def test_row_bitsets_match_brute_force(case):
+    """Bit r of a vertex's bitset is set exactly when the r-th supporting set
+    by brute force holds the vertex, and a query keeps exactly the sets
+    inside it, for its vertices only."""
+    H, R = case
+    s = 2 * H.k - 1
+    brute = [S for S in itertools.combinations(range(H.n), s) if brute_supports(H, S)]
+
+    def bits(vertices, keep):
+        return {
+            v: sum(1 << r for r, S in enumerate(brute) if v in S and keep(S))
+            for v in vertices
+        }
+
+    index = _set_index(H)
+    assert list(index.vertex_bits().items()) == list(bits(range(H.n), bool).items())
+    inside = bits(R, lambda S: set(S) <= set(R))
+    assert list(index.bits_inside(R).items()) == list(inside.items())
+
+
 def test_supporting_sets_cap_before_caching():
     H = complete_kgraph(8, 3)
     with pytest.raises(BudgetExceeded):
@@ -395,6 +418,8 @@ def test_index_readers_build_no_witnesses_and_answers_share_them():
     H = extremal_construction(3, 20).graph
     masks = set_masks(H)
     assert perfectly_tilable(H, range(5)) == any(m == 0b11111 for m in masks)
+    halves = VertexPartition((tuple(range(10)), tuple(range(10, 20))))
+    assert robust_vectors(H, halves, Fraction(1, 20))
     assert not _witnesses_built(H)
     sets = supporting_sets(H)
     assert _witnesses_built(H)

@@ -3,8 +3,8 @@
 Each property ties two layers that share no decision code: the exact
 simplex (fractional verdicts, Farkas certificates, the packing LP), the
 exact-cover search run without its fractional prefilter, the branch and
-bound, and the independent validators.  The cover search is also checked
-against the plain re-filtering search in ``oracles``.
+bound, and the independent validators.  The cover and hitting-set searches
+are also checked against the plain re-filtering searches in ``oracles``.
 """
 
 import itertools
@@ -27,9 +27,10 @@ from tritile.fractional import (
     packing_lp_value,
     perfect_fractional_tiling,
 )
+from tritile.lattice import _min_hit_decision
 from tritile.validate import check_certificate, check_fractional, check_tiling
 
-from oracles import oracle_cover_search, oracle_price
+from oracles import oracle_cover_search, oracle_min_hit_decision, oracle_price
 
 
 @st.composite
@@ -239,8 +240,9 @@ def test_packed_pricing_looks_past_the_best_field():
 @st.composite
 def row_families(draw):
     """A universe inside 0..13, its 2- and 3-sets each a row at a drawn
-    density, listed per vertex in a seeded random row order, and optionally
-    a prune that rejects any partial cover holding a banned pair of rows."""
+    density and numbered in a seeded random order, listed per vertex by
+    ascending index, and optionally a prune that rejects any partial cover
+    holding a banned pair of rows."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     universe = sorted(rng.sample(range(14), draw(st.integers(1, 12))))
     density = draw(st.integers(1, 6)) / 10
@@ -252,10 +254,8 @@ def row_families(draw):
     ]
     rng.shuffle(rows)
     masks = [sum(1 << v for v in r) for r in rows]
-    order = list(range(len(rows)))
-    rng.shuffle(order)
     by_vertex = {v: [] for v in universe}
-    for r in order:
+    for r in range(len(rows)):
         for v in rows[r]:
             by_vertex[v].append(r)
     accept = None
@@ -273,9 +273,40 @@ def row_families(draw):
 def test_cover_search_matches_the_refiltering_oracle(family):
     universe, by_vertex, masks, accept = family
     rows, nodes = oracle_cover_search(universe, by_vertex, masks, accept)
-    search = _CoverSearch(universe, by_vertex, masks, nodes, accept)
+    live = {v: sum(1 << r for r in by_vertex[v]) for v in universe}
+    search = _CoverSearch(live, masks, nodes, accept)
     assert search.run() == rows
     assert search.nodes == nodes
     if nodes:
         with pytest.raises(BudgetExceeded):
-            _CoverSearch(universe, by_vertex, masks, nodes - 1, accept).run()
+            _CoverSearch(live, masks, nodes - 1, accept).run()
+
+
+def _hit_outcome(search, family, limit, budget):
+    try:
+        return search(family, limit, budget)
+    except BudgetExceeded:
+        return "budget"
+
+
+def _vertices(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+@given(
+    st.lists(st.integers(0, 2**9 - 1), max_size=14),
+    st.integers(0, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_hitting_set_search_matches_the_refiltering_oracle(family, limit):
+    """The same hitting set or None, and a raise at every budget below the
+    oracle's node count: both count nodes alike, so they raise at the same
+    node."""
+    sets = [_vertices(m) for m in family]
+    budget = 0
+    while True:
+        want = _hit_outcome(oracle_min_hit_decision, family, limit, budget)
+        assert _hit_outcome(_min_hit_decision, sets, limit, budget) == want
+        if want != "budget":
+            break
+        budget += 1
