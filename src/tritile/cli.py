@@ -62,15 +62,23 @@ class UsageError(Exception):
     pass
 
 
+def _node_budget(text: str, source: str = "--budget") -> int:
+    """A node budget read from ``source``: an integer, at least 0."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise UsageError(f"{source} must be an integer, got {text!r}") from None
+    if budget < 0:
+        raise UsageError(f"{source} must be nonnegative, got {text!r}")
+    return budget
+
+
 def _env_budget() -> int:
     """Default node budget: ``TRITILE_BUDGET`` when set, else DEFAULT_NODE_BUDGET."""
     text = os.environ.get("TRITILE_BUDGET")
     if text is None:
         return DEFAULT_NODE_BUDGET
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"TRITILE_BUDGET must be an integer, got {text!r}") from None
+    return _node_budget(text, "TRITILE_BUDGET")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -461,7 +469,7 @@ def build_parser(parser_class=_Parser) -> _Parser:
         sp = sub.add_parser(name, help=help_)
         for spec in specs:
             if spec == "budget":
-                sp.add_argument("--budget", type=int, default=budget)
+                sp.add_argument("--budget", type=_node_budget, default=budget)
             elif isinstance(spec, str):
                 sp.add_argument(spec)
             else:

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     FormatError,
     InvalidArity,
+    InvalidDimension,
     InvalidUniformity,
     InvalidVertex,
     TooFewVertices,
@@ -191,9 +192,11 @@ def is_gamma_extremal(
     Exact mode enumerates all candidate subsets and raises BudgetExceeded,
     before any search, when there are more than ``_SUBSET_BUDGET``; heuristic
     mode peels maximum-degree vertices greedily and is sound only when it
-    answers True.
+    answers True.  gamma must be nonnegative.
     """
     gamma = Fraction(gamma)
+    if gamma < 0:
+        raise InvalidDimension("gamma must be nonnegative")
     target = extremal_witness_size(H.n, H.k)
     if target < H.k:
         # No edges fit inside the witness, so its density vanishes.

@@ -20,6 +20,7 @@ from .core import KGraph, _mask, canonical_vertex_set, is_gamma_extremal
 from .errors import (
     BudgetExceeded,
     DivisibilityError,
+    InvalidDimension,
     InvalidPartiteStructure,
 )
 from .fractional import (
@@ -547,9 +548,13 @@ def extremal_pipeline(
     graph on the residual split, its density thresholds, and a perfect
     matching in it.  Any stage may fail honestly on small hosts; the report
     says which one.  Defaults: gamma' = gamma^(1/4), beta = gamma^(1/8),
-    both handled by power comparisons so verdicts stay exact.
+    both handled by power comparisons so verdicts stay exact.  gamma and any
+    given gamma' and beta must be nonnegative.
     """
     gamma = Fraction(gamma)
+    for name, value in (("gamma", gamma), ("gamma_prime", gamma_prime), ("beta", beta)):
+        if value is not None and value < 0:
+            raise InvalidDimension(f"{name} must be nonnegative")
     k = H.k
     n = H.n
     s = 2 * k - 1

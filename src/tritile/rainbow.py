@@ -8,6 +8,7 @@ hosts after the fact fails on adversarial families.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -153,10 +154,11 @@ def rainbow_perfect_tiling(
     saturating matching.  A family whose hosts cannot take distinct union
     edges is ruled out first, without search.  Each union edge, keyed by its
     vertex mask, carries the bitmask of the hosts containing it.  The rows
-    come from the copy walk one base and apex pair at a time: a row is its
-    vertex mask plus its pair's base, apexes and base-edge hosts, the tail
-    and the spine's hosts are read back from the mask, and only the chosen
-    copies become ``TriangleCopy`` objects.
+    are the usable copies in a compact table (``_usable_rows``): one
+    (base, base mask, a, b, x, y) tuple per base and apex pair, and per row
+    only its spine's edge mask; the search reads a row's vertex mask, and
+    the matching prune its slot hosts, back from the table, and only the
+    chosen copies become ``TriangleCopy`` objects.
     """
     n, k = family.n, family.k
     s = 2 * k - 1
@@ -183,81 +185,151 @@ def rainbow_perfect_tiling(
             em = _mask(e)
             edge_hosts[em] = edge_hosts.get(em, 0) | 1 << i
 
-    # Usable copies, in the canonical order ``_copies`` yields them: a copy
-    # is usable iff its three edge slots can take distinct hosts.  The hosts
-    # of the base edges are looked up once per apex, and a row keeps only
-    # its mask and its pair's (base, base mask, a, b, x, y), from which the
-    # chosen rows' tails and spine hosts are read back.  Each vertex's row
-    # bitset is read from its flags, flags[v][r] == ord("1") when row r holds
-    # v.  A base's rows (a base and apex a's rows) come out consecutively,
-    # so the base's vertices (a) are flagged with one slice of ones; b and
-    # the tail are flagged row by row.
-    pairs: list[tuple[tuple[int, ...], int, int, int, int, int]] = []  # per usable row
-    masks: list[int] = []
-    flags = [bytearray() for _ in range(n)]
-    servable = 0  # hosts that can serve some slot of a usable copy
-    for (base, bm), base_groups in groupby(_copies(union), itemgetter(0, 1)):
-        base_start = len(masks)
-        for a, a_groups in groupby(base_groups, itemgetter(2)):
-            x = edge_hosts[bm | 1 << a]
-            a_start = len(masks)
-            for _, _, _, b, spines in a_groups:
-                y = edge_hosts[bm | 1 << b]
-                if not _hall_pair(x, y):
-                    continue
-                room = len(masks) + len(spines)
-                if room > len(flags[0]):
-                    for f in flags:
-                        f += b"0" * (max(room, 2 * len(f)) - len(f))
-                xy = x | y
-                pair = (base, bm, a, b, x, y)
-                fb = flags[b]
-                for tail, em in spines:
-                    if em & bm:
-                        continue
-                    z = edge_hosts[em]
-                    if not _hall_spine(x, y, xy, z):
-                        continue
-                    r = len(masks)
-                    fb[r] = 49
-                    for v in tail:
-                        flags[v][r] = 49
-                    pairs.append(pair)
-                    masks.append(bm | em)
-                    servable |= xy | z
-            end = len(masks)
-            flags[a][a_start:end] = b"1" * (end - a_start)
-        end = len(masks)
-        for v in base:
-            flags[v][base_start:end] = b"1" * (end - base_start)
+    table, live, servable = _usable_rows(union, edge_hosts)
     # A rainbow tiling uses every host exactly once.
     if servable != (1 << m) - 1:
         return None
 
-    def slot_hosts(rows: list[int]) -> list[int]:
-        """The host bitmasks of the rows' slots, copy by copy in slot order."""
-        out = []
-        for r in rows:
-            _, bm, _, _, x, y = pairs[r]
-            out += (x, y, edge_hosts[masks[r] ^ bm])
-        return out
+    # The search calls ``fits`` once per tried row with the path so far, and
+    # that row's parent path passed ``fits`` last at its own length, so
+    # prefix[i] keeps the slot hosts of the first i chosen rows and only the
+    # new row's slots are looked up.
+    prefix: list[list[int]] = [[]]
 
     def fits(chosen: list[int]) -> bool:
-        return _bipartite_saturates(slot_hosts(chosen))
+        del prefix[len(chosen):]
+        hosts = prefix[-1] + table.slot_hosts(chosen[-1:])
+        if not _bipartite_saturates(hosts):
+            return False
+        prefix.append(hosts)
+        return True
 
-    rows_end = len(masks)
-    live = {v: int(f[:rows_end][::-1] or b"0", 2) for v, f in enumerate(flags)}
-    rows = exact._CoverSearch(live, masks, budget, fits).run()
+    rows = exact._CoverSearch(live, table, budget, fits).run()
     if rows is None:
         return None
     rows.sort()  # row order is the canonical copy order
-    chosen_copies = []
-    for r in rows:
-        base, bm, a, b, _, _ = pairs[r]
-        tail = _mask_vertices(masks[r] ^ bm ^ 1 << a ^ 1 << b)
-        chosen_copies.append(TriangleCopy(base, (a, b), tail))
-    assignment = _lex_least_assignment(slot_hosts(rows))
-    return RainbowTiling(Tiling(tuple(chosen_copies), n), tuple(assignment))
+    chosen_copies = tuple(table.copy(r) for r in rows)
+    assignment = _lex_least_assignment(table.slot_hosts(rows))
+    return RainbowTiling(Tiling(chosen_copies, n), tuple(assignment))
+
+
+_Group = tuple[tuple[int, ...], int, int, int, int, int]  # (base, bm, a, b, x, y)
+
+
+class _RowTable:
+    """The usable rows, in canonical copy order, as a read-only sequence of
+    row vertex masks.
+
+    The rows of one base and apex pair form a group: ``groups[g]`` is
+    (base, base mask, a, b, x, y), x and y being the host bitmasks of the
+    base edges through a and b, and its rows run from ``starts[g]`` to the
+    next group's start.  A row keeps only its spine's edge mask
+    (``spines[r]``); its vertex mask, tail and spine hosts are read back on
+    demand.
+    """
+
+    __slots__ = ("groups", "starts", "spines", "edge_hosts")
+
+    def __init__(
+        self,
+        groups: list[_Group],
+        starts: list[int],
+        spines: list[int],
+        edge_hosts: dict[int, int],
+    ):
+        self.groups = groups
+        self.starts = starts
+        self.spines = spines
+        self.edge_hosts = edge_hosts
+
+    def __len__(self) -> int:
+        return len(self.spines)
+
+    def group(self, r: int) -> _Group:
+        return self.groups[bisect_right(self.starts, r) - 1]
+
+    def __getitem__(self, r: int) -> int:
+        return self.group(r)[1] | self.spines[r]
+
+    def copy(self, r: int) -> TriangleCopy:
+        base, _, a, b, _, _ = self.group(r)
+        return TriangleCopy(base, (a, b), _mask_vertices(self.spines[r] ^ 1 << a ^ 1 << b))
+
+    def slot_hosts(self, rows: list[int]) -> list[int]:
+        """The host bitmasks of the rows' slots, copy by copy in slot order."""
+        out = []
+        for r in rows:
+            _, _, _, _, x, y = self.group(r)
+            out += (x, y, self.edge_hosts[self.spines[r]])
+        return out
+
+
+def _usable_rows(
+    union: KGraph, edge_hosts: dict[int, int]
+) -> tuple[_RowTable, dict[int, int], int]:
+    """The union's usable copies as a row table, each vertex's live-row
+    bitset, and the bitmask of the hosts that can serve some slot of them.
+
+    A copy is usable iff its three edge slots can take distinct hosts.  Rows
+    follow ``_copies``, which hands every base the same spine list for an
+    apex pair (a, b), so the spines' host masks are looked up once per pair.
+    Hall's test of a spine runs only when it has at most two hosts: once the
+    base slots pass ``_hall_pair``, a spine with three or more hosts meets
+    every Hall inequality.  Each vertex's bitset is read from its flags,
+    flags[v][r] == ord("1") when row r holds v: a base's rows, an apex a's
+    and a group's come out consecutively, so the base, a and b are flagged
+    with one slice each and only the tail row by row.
+    """
+    n = union.n
+    groups: list[_Group] = []
+    starts: list[int] = []
+    spines_out: list[int] = []
+    flags = [bytearray() for _ in range(n)]
+    hosted: dict[tuple[int, int], list[tuple[tuple[int, ...], int, int, bool]]] = {}
+    servable = 0
+    for (base, bm), base_groups in groupby(_copies(union), itemgetter(0, 1)):
+        base_start = len(spines_out)
+        for a, a_groups in groupby(base_groups, itemgetter(2)):
+            x = edge_hosts[bm | 1 << a]
+            a_start = len(spines_out)
+            for _, _, _, b, spines in a_groups:
+                y = edge_hosts[bm | 1 << b]
+                if not _hall_pair(x, y):
+                    continue
+                spine_hosts = hosted.get((a, b))
+                if spine_hosts is None:
+                    spine_hosts = hosted[a, b] = [
+                        (tail, em, z, z.bit_count() < 3)
+                        for tail, em in spines
+                        for z in (edge_hosts[em],)
+                    ]
+                start = r = len(spines_out)
+                room = start + len(spines)
+                if room > len(flags[0]):
+                    for f in flags:
+                        f += b"0" * (max(room, 2 * len(f)) - len(f))
+                xy = x | y
+                for tail, em, z, few in spine_hosts:
+                    if em & bm or few and not _hall_spine(x, y, xy, z):
+                        continue
+                    for v in tail:
+                        flags[v][r] = 49
+                    spines_out.append(em)
+                    servable |= z
+                    r += 1
+                if r > start:
+                    groups.append((base, bm, a, b, x, y))
+                    starts.append(start)
+                    flags[b][start:r] = b"1" * (r - start)
+                    servable |= xy
+            end = len(spines_out)
+            flags[a][a_start:end] = b"1" * (end - a_start)
+        end = len(spines_out)
+        for v in base:
+            flags[v][base_start:end] = b"1" * (end - base_start)
+    rows_end = len(spines_out)
+    live = {v: int(f[:rows_end][::-1] or b"0", 2) for v, f in enumerate(flags)}
+    return _RowTable(groups, starts, spines_out, edge_hosts), live, servable
 
 
 @dataclass(frozen=True)

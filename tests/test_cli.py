@@ -248,6 +248,43 @@ def test_malformed_budget_env_exits_1(tmp_path):
     assert proc.stderr.splitlines() == ["error: TRITILE_BUDGET must be an integer, got 'abc'"]
 
 
+@pytest.mark.parametrize(
+    "argv,env",
+    [(["pack", "{inst}", "--budget", "-1"], None),
+     (["tile", "{inst}", "--budget", "-1"], None),
+     (["tile", "{inst}"], "-3")],
+    ids=["pack", "tile", "env"],
+)
+def test_negative_budget_exits_1(tmp_path, capsys, monkeypatch, argv, env):
+    inst = tmp_path / "k10.kg"
+    run(["gen", "complete", "--n", "10", "--k", "3", "-o", str(inst)])
+    capsys.readouterr()
+    if env is not None:
+        monkeypatch.setenv("TRITILE_BUDGET", env)
+    assert main([a.format(inst=inst) for a in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    source = "--budget" if env is None else "TRITILE_BUDGET"
+    assert err == [f"error: {source} must be nonnegative, got '{env or -1}'"]
+    # budget 0 stays valid: the search stops at its first node
+    monkeypatch.delenv("TRITILE_BUDGET", raising=False)
+    assert main(["tile", str(inst), "--no-lp", "--budget", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags,name",
+    [(["--gamma", "-1"], "gamma"),
+     (["--gamma", "0", "--gamma-prime=-1/2"], "gamma_prime"),
+     (["--gamma", "0", "--beta=-1/3"], "beta")],
+    ids=["gamma", "gamma-prime", "beta"],
+)
+def test_negative_pipeline_density_exits_1(tmp_path, capsys, flags, name):
+    inst = tmp_path / "k10.kg"
+    run(["gen", "complete", "--n", "10", "--k", "3", "-o", str(inst)])
+    capsys.readouterr()
+    assert main(["pipeline", str(inst), *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {name} must be nonnegative"]
+
+
 def test_budget_env_sets_default(tmp_path, monkeypatch):
     inst = tmp_path / "k10.kg"
     run(["gen", "complete", "--n", "10", "--k", "3", "-o", str(inst)])

@@ -7,9 +7,9 @@ from math import comb
 
 import pytest
 
-from tritile.core import KGraph, complete_kgraph
+from tritile.core import KGraph, complete_kgraph, is_gamma_extremal
 from tritile.constructions import extremal_construction, random_with_codegree
-from tritile.errors import BudgetExceeded, InvalidPartiteStructure
+from tritile.errors import BudgetExceeded, InvalidDimension, InvalidPartiteStructure
 from tritile.exact import (
     build_auxiliary_graph,
     classify_good_bad,
@@ -230,6 +230,27 @@ def test_pipeline_witness_budget_raises_before_search():
     with pytest.raises(BudgetExceeded) as blown:
         extremal_pipeline(extremal_construction(3, 30).graph, Fraction(0))
     assert blown.value.partial_count == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"gamma": Fraction(-1)}, {"gamma": Fraction(0), "gamma_prime": Fraction(-1, 2)},
+     {"gamma": Fraction(0), "beta": Fraction(-1, 3)}],
+    ids=["gamma", "gamma-prime", "beta"],
+)
+def test_negative_densities_raise_before_any_search(kwargs):
+    # ext(3,25) at gamma 0 walks millions of subsets before its witness, so a
+    # check that came after the walk would not finish in time here.
+    H = extremal_construction(3, 25).graph
+    with pytest.raises(InvalidDimension):
+        extremal_pipeline(H, **kwargs)
+    with pytest.raises(InvalidDimension):
+        extremal_pipeline(H, witness=range(15), **kwargs)
+    if "gamma_prime" not in kwargs and "beta" not in kwargs:
+        with pytest.raises(InvalidDimension):
+            is_gamma_extremal(H, kwargs["gamma"])
+        with pytest.raises(InvalidDimension):
+            is_gamma_extremal(H, kwargs["gamma"], mode="heuristic")
 
 
 def test_pipeline_complete_success():

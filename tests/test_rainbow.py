@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import random
+import functools
+import operator
 from functools import partial
 
 import pytest
@@ -9,16 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tritile.exact
-from tritile.core import KGraph, complete_kgraph
+from tritile.core import KGraph, _mask, complete_kgraph
 from tritile.constructions import extremal_construction, random_with_codegree
 from tritile.errors import BudgetExceeded, GenerationFailed, InvalidFamily
-from tritile.patterns import generalized_triangle
+from tritile.patterns import enumerate_copies, generalized_triangle
 from tritile.rainbow import (
     GraphFamily,
     _bipartite_saturates,
     _hall_pair,
     _hall_spine,
     _hall_triple,
+    _usable_rows,
     color_covering_homomorphism,
     rainbow_perfect_tiling,
 )
@@ -79,6 +82,9 @@ def test_hall_triple_equals_matching_over_four_hosts():
             assert _hall_triple(x, y, z) == triple, (x, y, z)
             if pair:  # the per-row part, as the rainbow search applies it
                 assert _hall_spine(x, y, x | y, z) == triple, (x, y, z)
+                # the row build skips the test for spines with 3+ hosts
+                if z.bit_count() >= 3:
+                    assert _hall_spine(x, y, x | y, z), (x, y, z)
 
 
 def _brute_rainbow_k3(family) -> bool:
@@ -185,6 +191,35 @@ def _sampled_family(n: int, k: int, seed: int, p_union: float, p_keep: float) ->
             for _ in range(3 * n // (2 * k - 1))
         )
     )
+
+
+@pytest.mark.parametrize(
+    "n,k,seed,p_union,p_keep",
+    [(12, 2, 0, 0.8, 0.15), (10, 3, 5, 0.8, 0.3), (10, 3, 7, 0.9, 0.8), (14, 4, 1, 0.2, 0.5)],
+    ids=["k2-sparse", "k3-sparse", "k3-dense", "k4-sparse"],
+)
+def test_row_table_equals_filtered_copies(n, k, seed, p_union, p_keep):
+    family = _sampled_family(n, k, seed, p_union, p_keep)
+    union = family.union()
+    edge_hosts = {}
+    for i, h in enumerate(family.hosts):
+        for e in h.edges:
+            edge_hosts[_mask(e)] = edge_hosts.get(_mask(e), 0) | 1 << i
+    copies = enumerate_copies(union)
+    want = []
+    for c in copies:
+        slots = [edge_hosts[_mask(e)] for e in c.edges]
+        if _bipartite_saturates(slots):
+            want.append((c, slots))
+    table, live, servable = _usable_rows(union, edge_hosts)
+    rows = range(len(table))
+    assert [(table.copy(r), table.slot_hosts([r])) for r in rows] == want
+    assert [table[r] for r in rows] == [_mask(c.vertices) for c, _ in want]
+    assert live == {v: sum(1 << r for r in rows if table[r] >> v & 1) for v in range(n)}
+    assert servable == functools.reduce(operator.or_, (h for _, s in want for h in s), 0)
+    if p_keep < 0.5:  # Hall's test ran on some spine, and some copy is unusable
+        assert any(s[2].bit_count() <= 2 for _, s in want)
+        assert len(want) < len(copies)
 
 
 RAINBOW_FAMILIES = {
