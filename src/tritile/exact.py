@@ -121,32 +121,78 @@ class _CoverSearch:
         return None
 
 
-def _disjoint_rows(masks: Sequence[int], want: int, budget: int) -> Optional[list[int]]:
-    """The lexicographically first ``want`` pairwise disjoint rows, or None.
+def _pack(
+    rows: Sequence[Sequence[int]], bits: dict[int, int], lo: int, hi: int, budget: int
+) -> Optional[list[int]]:
+    """Branch and bound for more than ``lo`` and at most ``hi`` pairwise
+    disjoint rows: the first packing of the most rows it finds, as ascending
+    row indices, or None when none has more than ``lo``.
 
-    Not a cover search: a packing need not cover any vertex, so there is no
-    vertex to branch on; each node extends the packing by a later row.  The
-    node budget is charged as in ``_CoverSearch``.
+    ``rows`` are vertex tuples of one size; ``bits`` maps each vertex of the
+    universe, ascending, to its row bitset, every row lying inside it.  A
+    node branches on the lowest undecided vertex: first on each live row
+    holding it, by ascending index, then on leaving it uncovered.  A live
+    row misses every decided vertex; a child clears the live rows of the
+    vertices it decides, as ``_CoverSearch`` does.  A node whose rows plus
+    its undecided vertices over the row size cannot beat the best is cut.
+    On rows sorted by vertex tuple the nodes meet the packings in
+    lexicographic order, so the first packing of ``hi`` rows is the least.
+    A blown budget raises with the best count so far and ``hi`` as bounds.
     """
-    chosen: list[int] = []
+    size = len(rows[0]) if rows else 1
+    full = _mask(bits)
+    best = None
     nodes = 0
 
-    def extend(start: int, used: int) -> bool:
-        nonlocal nodes
-        if len(chosen) == want:
-            return True
+    def search(decided: int, live: int, chosen: list[int]) -> None:
+        nonlocal lo, best, nodes
+        if lo >= hi:
+            return
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(f"packing search exceeded {budget} nodes")
-        for i in range(start, len(masks)):
-            if not masks[i] & used:
-                chosen.append(i)
-                if extend(i + 1, used | masks[i]):
-                    return True
-                chosen.pop()
-        return False
+            raise BudgetExceeded(
+                f"packing search exceeded {budget} nodes", lower=lo, upper=hi
+            )
+        if len(chosen) > lo:
+            lo = len(chosen)
+            best = sorted(chosen)
+        free = full & ~decided
+        if len(chosen) + free.bit_count() // size <= lo:
+            return
+        low = free & -free
+        v = low.bit_length() - 1
+        branch = bits[v] & live
+        while branch:
+            r = (branch & -branch).bit_length() - 1
+            branch ^= 1 << r
+            row, kill = 0, 0
+            for u in rows[r]:
+                row |= 1 << u
+                kill |= bits[u]
+            chosen.append(r)
+            search(decided | row, live & ~kill, chosen)
+            chosen.pop()
+            if lo >= hi:
+                return
+        search(decided | low, live & ~bits[v], chosen)
 
-    return chosen if extend(0, 0) else None
+    search(0, (1 << len(rows)) - 1, [])
+    return best
+
+
+def _disjoint_rows(
+    rows: Sequence[Sequence[int]], want: int, budget: int
+) -> Optional[list[int]]:
+    """The lexicographically first ``want`` pairwise disjoint rows of the
+    sorted vertex tuples ``rows``, all of one size, or None.  A blown budget
+    raises without bounds: a search for ``want`` rows certifies none."""
+    if want == 0:
+        return []
+    bits = _vertex_bits(sorted(set().union(*rows)), rows)
+    try:
+        return _pack(rows, bits, want - 1, want, budget)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(str(exc)) from None
 
 
 def _edge_cover(universe: Sequence[int], edges: Sequence[tuple[int, ...]], budget: int):
@@ -209,12 +255,11 @@ def _decide_perfect_tiling(
 def max_tiling(H: KGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling]:
     """Maximum number of disjoint copies with a witness.
 
-    Branch and bound on the lowest undecided vertex; the exact LP optimum of
-    the packing relaxation caps the search from above, greedy packings seed
-    it from below.  On budget exhaustion raises BudgetExceeded carrying the
-    certified [lower, upper] bounds.
+    The packing search ``_pack`` on the host index's rows; the exact LP
+    optimum of the packing relaxation caps it from above, greedy packings
+    seed it from below.  On budget exhaustion raises BudgetExceeded carrying
+    the certified [lower, upper] bounds.
     """
-    s = 2 * H.k - 1
     sets = supporting_sets(H)
     if not sets:
         return 0, Tiling((), H.n)
@@ -238,56 +283,10 @@ def max_tiling(H: KGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Ti
     support = sorted((-w, c.vertices) for c, w in lp_tiling.weights.items())
     first = [bisect_left(index.vertex_sets, vs) for _, vs in support]
     alt = greedy(itertools.chain(first, range(len(sets))))
-    if len(alt) > len(best):
-        best = alt
-    best_rows = sorted(best)
-    lo = len(best_rows)
-
-    if lo < hi:
-        n = H.n
-        bits = index.vertex_bits()
-        state = {"best": best_rows, "lo": lo, "nodes": 0}
-
-        def undecided_count(decided: int) -> int:
-            return n - bin(decided).count("1")
-
-        def bnb(decided: int, chosen: list[int]):
-            if state["lo"] >= hi:
-                return
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise BudgetExceeded(
-                    f"packing search exceeded {budget} nodes",
-                    lower=state["lo"],
-                    upper=hi,
-                )
-            if len(chosen) > state["lo"]:
-                state["lo"] = len(chosen)
-                state["best"] = sorted(chosen)
-            if len(chosen) + undecided_count(decided) // s <= state["lo"]:
-                return
-            v = 0
-            while decided >> v & 1:
-                v += 1
-            rows = bits[v]  # tried by ascending index
-            while rows:
-                low = rows & -rows
-                rows ^= low
-                r = low.bit_length() - 1
-                if not masks[r] & decided:
-                    chosen.append(r)
-                    bnb(decided | masks[r], chosen)
-                    chosen.pop()
-                    if state["lo"] >= hi:
-                        return
-            bnb(decided | (1 << v), chosen)
-
-        bnb(0, [])
-        best_rows = state["best"]
-        lo = state["lo"]
-
-    witness = Tiling(tuple(sets[r][1] for r in best_rows), H.n)
-    return lo, witness
+    best = sorted(max(best, alt, key=len))
+    if len(best) < hi:
+        best = _pack(index.vertex_sets, index.vertex_bits(), len(best), hi, budget) or best
+    return len(best), Tiling(tuple(sets[r][1] for r in best), H.n)
 
 
 # -- k-partite matchings and degree conditions ---------------------------------
@@ -614,7 +613,7 @@ def extremal_pipeline(
         goods = [q for q in itertools.combinations(e, k - 1) if q in good_set]
         if goods:
             m_candidates.append((e, goods[0]))  # least good set: combinations are sorted
-    m_rows = _disjoint_rows([_mask(e) for e, _ in m_candidates], len(X), budget)
+    m_rows = _disjoint_rows([e for e, _ in m_candidates], len(X), budget)
     if m_rows is None:
         return fail(
             "matching-M",

@@ -222,7 +222,9 @@ def robust_vectors(
     every copy with that vector, i.e. the family's transversal number exceeds
     floor(beta n).  Exact mode decides that by bounded hitting-set search;
     packing-bound mode certifies robustness from floor(beta n)+1 disjoint
-    copies and answers unknown otherwise.  beta must be nonnegative.
+    copies and answers unknown otherwise.  A search that blows its budget,
+    the shrink of a not-robust vector's transversal number included, leaves
+    the vector unknown.  beta must be nonnegative.
     """
     beta = Fraction(beta)
     if beta < 0:
@@ -240,34 +242,28 @@ def robust_vectors(
     out = {}
     for vec in sorted(by_vec):
         fam = by_vec[vec]
-        if mode == "exact":
-            try:
+        status, value = UNKNOWN, 0
+        try:
+            if mode == "exact":
                 hit = _min_hit_decision(fam, m, budget)
-            except BudgetExceeded:
-                out[vec] = RobustnessReport(vec, UNKNOWN, mode, 0, m)
-                continue
-            if hit is None:
-                out[vec] = RobustnessReport(vec, "robust", mode, m + 1, m)
+                if hit is None:
+                    status, value = "robust", m + 1
+                else:
+                    # shrink to the true transversal number for the report
+                    value = len(hit)
+                    for limit in range(len(hit)):
+                        if _min_hit_decision(fam, limit, budget) is not None:
+                            value = limit
+                            break
+                    status = "not-robust"
+            elif mode == "packing-bound":
+                if _disjoint_rows(fam, m + 1, budget) is not None:
+                    status, value = "robust", m + 1
             else:
-                # shrink to the true transversal number for the report
-                tau = len(hit)
-                for limit in range(len(hit)):
-                    if _min_hit_decision(fam, limit, budget) is not None:
-                        tau = limit
-                        break
-                out[vec] = RobustnessReport(vec, "not-robust", mode, tau, m)
-        elif mode == "packing-bound":
-            try:
-                packed = _disjoint_rows(list(map(_mask, fam)), m + 1, budget)
-            except BudgetExceeded:
-                out[vec] = RobustnessReport(vec, UNKNOWN, mode, 0, m)
-                continue
-            if packed is not None:
-                out[vec] = RobustnessReport(vec, "robust", mode, m + 1, m)
-            else:
-                out[vec] = RobustnessReport(vec, UNKNOWN, mode, 0, m)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+                raise ValueError(f"unknown mode {mode!r}")
+        except BudgetExceeded:
+            status, value = UNKNOWN, 0
+        out[vec] = RobustnessReport(vec, status, mode, value, m)
     return out
 
 
@@ -343,6 +339,12 @@ def _check_range(H: KGraph, vs: Sequence[int]) -> None:
         raise InvalidVertex(f"{tuple(vs)} leaves the vertex range 0..{H.n - 1}")
 
 
+def _check_t(t: int) -> None:
+    """Raise InvalidDimension unless the size factor t is at least 1."""
+    if t < 1:
+        raise InvalidDimension(f"t must be at least 1, got {t}")
+
+
 def _both_tilable(H: KGraph, blocked: set, sizes, ends, budget: int, what: str):
     """Every set C avoiding ``blocked`` with C plus each of the two ``ends``
     perfectly tilable, smallest first through the increasing ``sizes``.
@@ -380,7 +382,9 @@ def find_connector(
     budget: int = 500_000,
 ) -> Optional[tuple[int, ...]]:
     """Smallest-first search for a set S with both S+{u} and S+{v} perfectly
-    tilable; |S| <= (2k-1)t - 1 and S avoids ``forbidden``."""
+    tilable; |S| <= (2k-1)t - 1 and S avoids ``forbidden``.  t must be at
+    least 1."""
+    _check_t(t)
     if u == v:
         raise InvalidVertex("connector endpoints must differ")
     _check_range(H, sorted((u, v)))
@@ -407,6 +411,7 @@ def reachable(
     """
     if m < 0:
         raise InvalidDimension("m must be nonnegative")
+    _check_t(t)
     if u == v:
         raise InvalidVertex("connector endpoints must differ")
     _check_range(H, sorted((u, v)))
@@ -440,6 +445,7 @@ def is_closed(
     """Pairwise reachability over U; returns the verdict and the first
     failing (or first unknown) pair.  Unknown means certificate mode found
     too few disjoint connectors; a blown budget raises BudgetExceeded."""
+    _check_t(t)
     U = canonical_vertex_set(U)
     first_unknown = None
     for u, v in itertools.combinations(U, 2):
@@ -462,7 +468,8 @@ def find_absorber(
     budget: int = 500_000,
 ) -> Optional[tuple[int, ...]]:
     """Smallest-first search for A with H[A] and H[A+S] perfectly tilable,
-    |A| <= (2k-1)^2 t, A disjoint from S and ``forbidden``."""
+    |A| <= (2k-1)^2 t, A disjoint from S and ``forbidden``; t >= 1."""
+    _check_t(t)
     s = 2 * H.k - 1
     S = canonical_vertex_set(S)
     if len(S) != s:

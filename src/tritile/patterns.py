@@ -238,19 +238,13 @@ def supporting_sets(
     return [row for row, m in zip(sets, index.masks) if not m & outside]
 
 
-def set_masks(H: KGraph, cap: int = DEFAULT_COPY_CAP) -> list[int]:
-    """Vertex masks of ``supporting_sets(H)``, row for row, from the same
-    per-host index.  Callers must not mutate the list."""
-    return _set_index(H, cap).masks
-
-
 class _SetIndex:
     """A host's supporting sets, sorted by vertex set, with their vertex masks.
 
     Row r is the set ``vertex_sets[r]``.  The least witnesses and the
     per-vertex row bitsets are built on first use, so a caller that reads
-    only vertex sets, masks and bitsets, as ``set_masks`` and
-    ``lattice.perfectly_tilable`` do, never pays for the witnesses, and a
+    only vertex sets, masks and bitsets, as ``lattice.perfectly_tilable``
+    and ``lattice.robust_vectors`` do, never pays for the witnesses, and a
     host whose questions the LP settles never pays for the bitsets.
     """
 

@@ -108,20 +108,15 @@ def _hall_pair(x: int, y: int) -> bool:
 
 
 def _hall_spine(x: int, y: int, xy: int, z: int) -> bool:
-    """The rest of ``_hall_triple`` once ``_hall_pair(x, y)`` holds, with
-    ``xy == x | y``: every subfamily holding the spine slot z."""
+    """The rest of Hall's condition for three slots with host bitmasks x, y
+    and z once ``_hall_pair(x, y)`` holds, with ``xy == x | y``: every
+    subfamily holding the spine slot z sees as many hosts as it has slots."""
     return (
         z != 0
         and (x | z).bit_count() >= 2
         and (y | z).bit_count() >= 2
         and (xy | z).bit_count() >= 3
     )
-
-
-def _hall_triple(x: int, y: int, z: int) -> bool:
-    """Hall's condition for three slots with host bitmasks x, y, z: every
-    nonempty subfamily of slots sees at least as many hosts as it has slots."""
-    return _hall_pair(x, y) and _hall_spine(x, y, x | y, z)
 
 
 def _lex_least_assignment(slot_hosts: list[int]) -> list[int]:

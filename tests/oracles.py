@@ -179,3 +179,21 @@ def oracle_min_hit_decision(family, limit, budget):
         return None
 
     return rec(family, 0, [])
+
+
+def oracle_first_disjoint_rows(rows, want):
+    """The first ``want`` row indices, in lexicographic order, whose rows are
+    pairwise disjoint, or None, by trying every combination."""
+    for combo in itertools.combinations(range(len(rows)), want):
+        vertices = [v for r in combo for v in rows[r]]
+        if len(vertices) == len(set(vertices)):
+            return list(combo)
+    return None
+
+
+def oracle_max_packing(rows):
+    """The most pairwise disjoint rows, by trying every count downward."""
+    for want in range(len(rows), 0, -1):
+        if oracle_first_disjoint_rows(rows, want) is not None:
+            return want
+    return 0

@@ -285,6 +285,46 @@ def test_negative_pipeline_density_exits_1(tmp_path, capsys, flags, name):
     assert capsys.readouterr().err.splitlines() == [f"error: {name} must be nonnegative"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["reach", "--u", "0", "--v", "1", "--m", "1", "--t", "0", "--mode", "exact"],
+     ["reach", "--u", "0", "--v", "1", "--m", "1", "--t", "0"],
+     ["connector", "--u", "0", "--v", "1", "--t", "-2"],
+     ["absorb", "--set", "0,1,2,3,4", "--t", "0"]],
+    ids=["reach-exact", "reach-certificate", "connector", "absorb"],
+)
+def test_size_factor_below_1_exits_1(tmp_path, capsys, argv):
+    inst = tmp_path / "k10.kg"
+    run(["gen", "complete", "--n", "10", "--k", "3", "-o", str(inst)])
+    capsys.readouterr()
+    t = argv[argv.index("--t") + 1]
+    assert main([argv[0], str(inst), *argv[1:]]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: t must be at least 1, got {t}"]
+
+
+def test_pipeline_matching_over_budget_is_unknown_budget(tmp_path, capsys):
+    # |X| = 3 and the matching-M search needs 14 nodes; a search for three
+    # rows certifies no bound, so the report carries none.
+    from test_exact import _sparse_vertex
+
+    inst = tmp_path / "sparse.kg"
+    save_kgraph(_sparse_vertex(15, 3, 0, count=3, p=0.6), inst)
+    assert main(["pipeline", str(inst), "--gamma", "1", "--budget", "13"]) == 2
+    assert _strip_timing(json.loads(capsys.readouterr().out)) == {
+        "anchor": "budget",
+        "bounds": None,
+        "command": "pipeline",
+        "config": {"budget": 13, "command": "pipeline", "gamma": "1", "instance": str(inst)},
+        "reason": "packing search exceeded 13 nodes",
+        "schema": 1,
+        "tool": {"name": "tritile", "version": "0.1.0"},
+        "verdict": "unknown-budget",
+    }
+    assert main(["pipeline", str(inst), "--gamma", "1", "--budget", "14"]) == 0
+    stages = json.loads(capsys.readouterr().out)["stages"]
+    assert stages[3] == {"stage": "matching-M", "status": "ok", "detail": "size=3"}
+
+
 def test_budget_env_sets_default(tmp_path, monkeypatch):
     inst = tmp_path / "k10.kg"
     run(["gen", "complete", "--n", "10", "--k", "3", "-o", str(inst)])

@@ -11,6 +11,7 @@ from tritile.core import KGraph, complete_kgraph, is_gamma_extremal
 from tritile.constructions import extremal_construction, random_with_codegree
 from tritile.errors import BudgetExceeded, InvalidDimension, InvalidPartiteStructure
 from tritile.exact import (
+    _disjoint_rows,
     build_auxiliary_graph,
     classify_good_bad,
     corollary_check,
@@ -21,7 +22,8 @@ from tritile.exact import (
     max_tiling,
     perfect_tiling,
 )
-from tritile.lattice import VertexPartition, perfectly_tilable, robust_vectors
+from tritile.lattice import VertexPartition, index_vector, perfectly_tilable, robust_vectors
+from tritile.patterns import _set_index
 from tritile.rainbow import GraphFamily, rainbow_perfect_tiling
 from tritile.fractional import packing_lp_value, perfect_fractional_tiling, FractionalTiling
 from tritile.validate import check_copy, check_matching, check_tiling
@@ -335,6 +337,12 @@ def _budget_cases():
         tuple(KGraph(10, 3, [e for e in union if pick.random() < 0.3]) for _ in range(6))
     )
     matched, unmatched = _tripartite(5), _tripartite(7)
+    # the (2, 3) family of the packing-bound host below
+    seeded = random.Random(5)
+    triples = itertools.combinations(range(12), 3)
+    bound = KGraph(12, 3, [e for e in triples if seeded.random() < 0.25])
+    block = VertexPartition((tuple(range(6)), tuple(range(6, 12))))
+    family = [vs for vs in _set_index(bound).vertex_sets if index_vector(block, vs) == (2, 3)]
 
     def tile(H, use_lp):
         return lambda b: _vertex_sets(perfect_tiling(H, budget=b, use_lp=use_lp))
@@ -358,6 +366,12 @@ def _budget_cases():
 
     def matching(J, classes):
         return lambda b: kpartite_perfect_matching(J, classes, budget=b)
+
+    def packing(rows, want):
+        return lambda b: [rows[r] for r in _disjoint_rows(rows, want, b)]
+
+    def pipeline(H):
+        return lambda b: extremal_pipeline(H, Fraction(1), budget=b).to_json()["stages"][3:]
 
     # (call with budget b, nodes N its search takes, answer): any change to
     # the search order or to the budget accounting moves N
@@ -383,6 +397,14 @@ def _budget_cases():
         (rainbow(sparse), 6, ([(0, 1, 3, 7, 8), (2, 4, 5, 6, 9)], (2, 4, 5, 0, 1, 3))),
         (matching(*matched), 4, [(0, 5, 10), (3, 6, 11), (1, 4, 8), (2, 7, 9)]),
         (matching(*unmatched), 3, None),
+        # the packing bound's search, and the pipeline's matching M through
+        # good sets, |X| = 3, which fails at Tk-for-X before J is searched
+        (packing(family, 2), 23, [(0, 2, 6, 7, 8), (1, 5, 9, 10, 11)]),
+        (pipeline(_sparse_vertex(15, 3, 0, count=3, p=0.6)), 14, [
+            {"stage": "matching-M", "status": "ok", "detail": "size=3"},
+            {"stage": "Tk-for-X", "status": "failed",
+             "detail": "no copy through matched edge (0, 1, 2)"},
+        ]),
     ]
 
 
@@ -408,7 +430,7 @@ def test_search_budgets_match_node_counts():
 
 
 def test_packing_bound_budget_matches_node_count():
-    # The (2, 3) family needs seven packing nodes to show m+1 = 2 disjoint
+    # The (2, 3) family needs 23 packing nodes to show m+1 = 2 disjoint
     # copies; one node fewer leaves the vector unknown, never not-robust.
     rng = random.Random(5)
     H = KGraph(12, 3, [e for e in itertools.combinations(range(12), 3) if rng.random() < 0.25])
@@ -418,8 +440,8 @@ def test_packing_bound_budget_matches_node_count():
         reps = robust_vectors(H, P, Fraction(1, 12), mode="packing-bound", budget=budget)
         return reps[(2, 3)].status
 
-    assert status(7) == "robust"
-    assert status(6) == "unknown"
+    assert status(23) == "robust"
+    assert status(22) == "unknown"
     assert status(0) == "unknown"
 
 
@@ -439,20 +461,22 @@ def _split(H):
     return H, tuple(range(a)), tuple(range(a, H.n))
 
 
-def _sparse_vertex(n, k, seed):
-    """The complete host less the edges of vertex n-1 with k-1 vertices in the
-    pipeline's witness (its first (2k-3)n/(2k-1) vertices) but one, and less
-    a seeded 30 % of the rest: with gamma 1 the X stage keeps vertex n-1, so
-    the matching-M and Tk-for-X stages each place one."""
+def _sparse_vertex(n, k, seed, count=1, p=0.3):
+    """The complete host less, for each of its last ``count`` vertices, the
+    edges with k-1 vertices in the pipeline's witness (its first
+    (2k-3)n/(2k-1) vertices) but one, and less a seeded share ``p`` of the
+    rest: with gamma 1 the X stage keeps those vertices, so the matching-M
+    and Tk-for-X stages each place ``count``."""
     rng = random.Random(seed)
     witness = range((2 * k - 3) * n // (2 * k - 1))
-    edges, kept = [], 0
+    edges, kept = [], set()
     for e in itertools.combinations(range(n), k):
-        if n - 1 in e and sum(v in witness for v in e) == k - 1:
-            if not kept:
-                kept = 1
+        sparse = [v for v in e if v >= n - count]
+        if sparse and sum(v in witness for v in e) == k - 1:
+            if sparse[0] not in kept:
+                kept.add(sparse[0])
                 edges.append(e)
-        elif rng.random() >= 0.3:
+        elif rng.random() >= p:
             edges.append(e)
     return KGraph(n, k, edges)
 

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from tritile.core import KGraph, complete_kgraph
 from tritile.constructions import random_with_codegree
-from tritile.errors import BudgetExceeded, EmptyGraph, InvalidEdgeProfile, InvalidVertex
+from tritile.errors import (
+    BudgetExceeded,
+    EmptyGraph,
+    InvalidDimension,
+    InvalidEdgeProfile,
+    InvalidVertex,
+)
 from tritile.lattice import (
     NO,
     YES,
@@ -160,6 +166,23 @@ def test_robust_vectors_match_forall_oracle():
                 assert (rep.status == "robust") == want
 
 
+def test_robust_vectors_budget_sweep_never_raises():
+    # Budgets 4 and 5 blow inside the shrink of a not-robust vector's
+    # transversal number, after its first search has finished.
+    rng = random.Random(0)
+    H = KGraph(12, 3, [e for e in itertools.combinations(range(12), 3) if rng.random() < 0.3])
+    assert H.edge_count() == 56
+    P = VertexPartition((tuple(range(6)), tuple(range(6, 12))))
+    final = robust_vectors(H, P, Fraction(1, 4))
+    assert {rep.status for rep in final.values()} == {"robust", "not-robust"}
+    sweep = [robust_vectors(H, P, Fraction(1, 4), budget=b) for b in range(60)]
+    for vec, rep in final.items():
+        reports = [reps[vec] for reps in sweep]
+        decided = next(b for b, r in enumerate(reports) if r.status != "unknown")
+        assert all(r.status == "unknown" and r.value == 0 for r in reports[:decided])
+        assert all(r == rep for r in reports[decided:]), vec
+
+
 def test_packing_bound_mode_sound():
     K12 = complete_kgraph(12, 3)
     P = VertexPartition((tuple(range(12)),))
@@ -274,6 +297,22 @@ def test_is_closed_complete_and_disconnected():
     verdict, fail = is_closed(H, (0, 5), 1, mode="exact")
     assert verdict == NO and fail == (0, 5)
     assert is_closed(K10, (3,), 1)[0] == YES
+
+
+@pytest.mark.parametrize("t", [0, -2])
+def test_size_factor_below_1_raises(t):
+    # No search runs at t < 1, so each would answer "none" or "no" unasked.
+    K10 = complete_kgraph(10, 3)
+    for call in (
+        lambda: find_connector(K10, 0, 1, t=t),
+        lambda: reachable(K10, 0, 1, 1, t=t),
+        lambda: reachable(K10, 0, 1, 1, t=t, mode="exact"),
+        lambda: is_closed(K10, (0, 1), 1, t=t),
+        lambda: is_closed(K10, (0,), 1, t=t),
+        lambda: find_absorber(K10, (0, 1, 2, 3, 4), t=t),
+    ):
+        with pytest.raises(InvalidDimension, match=f"t must be at least 1, got {t}"):
+            call()
 
 
 def test_absorber_complete_host():

@@ -22,7 +22,6 @@ from tritile.patterns import (
     generalized_triangle,
     _set_index,
     supporting_sets,
-    set_masks,
     supports_triangle,
 )
 from tritile.rainbow import GraphFamily
@@ -198,12 +197,12 @@ def test_supporting_sets_match_brute_force(case, data):
     assert perfectly_tilable(H, R) == brute_perfectly_tilable(H, R)
     # the second call reads the host's index and must agree with the first
     assert supporting_sets(H) == sets
-    assert set_masks(H) == [sum(1 << v for v in vs) for vs, _ in sets]
+    assert _set_index(H).masks == [sum(1 << v for v in vs) for vs, _ in sets]
     if sets:
         with pytest.raises(BudgetExceeded):
             supporting_sets(H, cap=len(sets) - 1)
         with pytest.raises(BudgetExceeded):
-            set_masks(H, cap=len(sets) - 1)
+            _set_index(H, cap=len(sets) - 1).masks
     if inside:
         with pytest.raises(BudgetExceeded):
             supporting_sets(H, restrict=R, cap=len(inside) - 1)
@@ -406,7 +405,7 @@ def test_enumerate_copies_pins(name, restrict):
 def test_supporting_set_index_pins(name):
     H = INDEX_HOSTS[name]()
     rows = [[list(vs), witness.to_json()] for vs, witness in supporting_sets(H)]
-    text = json.dumps({"sets": rows, "masks": set_masks(H)}, separators=(",", ":"))
+    text = json.dumps({"sets": rows, "masks": _set_index(H).masks}, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == INDEX_PINS[name]
 
 
@@ -416,7 +415,7 @@ def _witnesses_built(H: KGraph) -> bool:
 
 def test_index_readers_build_no_witnesses_and_answers_share_them():
     H = extremal_construction(3, 20).graph
-    masks = set_masks(H)
+    masks = _set_index(H).masks
     assert perfectly_tilable(H, range(5)) == any(m == 0b11111 for m in masks)
     halves = VertexPartition((tuple(range(10)), tuple(range(10, 20))))
     assert robust_vectors(H, halves, Fraction(1, 20))
@@ -441,8 +440,8 @@ def test_supporting_sets_cap_raises_in_the_pass_and_from_the_cache():
     assert fresh.value.partial_count == 11
     assert any(entry.name == "__init__" for entry in fresh.traceback)
     assert H._sets is None
-    assert len(set_masks(H)) == 792  # the index, still without witnesses
-    for call in (supporting_sets, set_masks):
+    assert len(_set_index(H).masks) == 792  # the index, still without witnesses
+    for call in (supporting_sets, _set_index):
         with pytest.raises(BudgetExceeded) as cached:
             call(H, cap=10)
         assert cached.value.partial_count == 11

@@ -4,7 +4,8 @@ Each property ties two layers that share no decision code: the exact
 simplex (fractional verdicts, Farkas certificates, the packing LP), the
 exact-cover search run without its fractional prefilter, the branch and
 bound, and the independent validators.  The cover and hitting-set searches
-are also checked against the plain re-filtering searches in ``oracles``.
+are also checked against the plain re-filtering searches in ``oracles``, and
+the packing search against trying every combination of rows.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from tritile import fractional
 from tritile.core import KGraph, complete_kgraph
 from tritile.errors import BudgetExceeded
-from tritile.exact import _CoverSearch, max_tiling, perfect_tiling
+from tritile.exact import _CoverSearch, _disjoint_rows, _pack, max_tiling, perfect_tiling
 from tritile.fractional import (
     FarkasCertificate,
     min_max_pair_weight,
@@ -28,9 +29,16 @@ from tritile.fractional import (
     perfect_fractional_tiling,
 )
 from tritile.lattice import _min_hit_decision
+from tritile.patterns import _vertex_bits
 from tritile.validate import check_certificate, check_fractional, check_tiling
 
-from oracles import oracle_cover_search, oracle_min_hit_decision, oracle_price
+from oracles import (
+    oracle_cover_search,
+    oracle_first_disjoint_rows,
+    oracle_max_packing,
+    oracle_min_hit_decision,
+    oracle_price,
+)
 
 
 @st.composite
@@ -310,3 +318,28 @@ def test_hitting_set_search_matches_the_refiltering_oracle(family, limit):
         if want != "budget":
             break
         budget += 1
+
+
+@st.composite
+def packing_rows(draw):
+    """n vertices, a row size and a drawn set of rows of that size inside
+    0..n-1, sorted by vertex tuple."""
+    n = draw(st.integers(3, 13))
+    size = draw(st.integers(2, min(5, n)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(0, 14))
+    rows = {tuple(sorted(rng.sample(range(n), size))) for _ in range(count)}
+    return n, size, sorted(rows)
+
+
+@given(packing_rows(), st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_packing_search_finds_the_first_and_the_largest_packings(case, want):
+    n, size, rows = case
+    first = _disjoint_rows(rows, want, 10**6)
+    assert first == oracle_first_disjoint_rows(rows, want)
+    found = _pack(rows, _vertex_bits(range(n), rows), 0, n // size, 10**6)
+    assert len(found or ()) == oracle_max_packing(rows)
+    if found:
+        assert found == sorted(found)
+        assert len(set().union(*(rows[r] for r in found))) == size * len(found)

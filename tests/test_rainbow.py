@@ -20,7 +20,6 @@ from tritile.rainbow import (
     _bipartite_saturates,
     _hall_pair,
     _hall_spine,
-    _hall_triple,
     _usable_rows,
     color_covering_homomorphism,
     rainbow_perfect_tiling,
@@ -79,7 +78,7 @@ def test_hall_triple_equals_matching_over_four_hosts():
         assert pair == _bipartite_saturates([x, y]), (x, y)
         for z in range(16):
             triple = _bipartite_saturates([x, y, z])
-            assert _hall_triple(x, y, z) == triple, (x, y, z)
+            assert (pair and _hall_spine(x, y, x | y, z)) == triple, (x, y, z)
             if pair:  # the per-row part, as the rainbow search applies it
                 assert _hall_spine(x, y, x | y, z) == triple, (x, y, z)
                 # the row build skips the test for spines with 3+ hosts
