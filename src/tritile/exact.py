@@ -10,7 +10,6 @@ failure is a genuine counterexample and never numeric noise.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -25,16 +24,16 @@ from .errors import (
 )
 from .fractional import (
     FarkasCertificate,
-    packing_lp_value,
-    perfect_fractional_tiling,
+    _fractional_verdict,
+    _packing_lp,
+    _set_columns,
 )
 from .patterns import (
     DEFAULT_COPY_CAP,
     Tiling,
     TriangleCopy,
+    _row_bits,
     _set_index,
-    _vertex_bits,
-    supporting_sets,
 )
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -188,7 +187,7 @@ def _disjoint_rows(
     raises without bounds: a search for ``want`` rows certifies none."""
     if want == 0:
         return []
-    bits = _vertex_bits(sorted(set().union(*rows)), rows)
+    bits = _row_bits(list(map(_mask, rows)), sorted(set().union(*rows)))
     try:
         return _pack(rows, bits, want - 1, want, budget)
     except BudgetExceeded as exc:
@@ -198,8 +197,8 @@ def _disjoint_rows(
 def _edge_cover(universe: Sequence[int], edges: Sequence[tuple[int, ...]], budget: int):
     """Perfect matching of ``universe`` by ``edges``, all inside it: the
     chosen edge indices, or None."""
-    live = _vertex_bits(universe, edges)
-    return _CoverSearch(live, [_mask(e) for e in edges], budget).run()
+    masks = list(map(_mask, edges))
+    return _CoverSearch(_row_bits(masks, universe), masks, budget).run()
 
 
 # -- tilings -------------------------------------------------------------------
@@ -216,7 +215,8 @@ def perfect_tiling(
     Divisibility is checked first; then (by default) the fractional
     relaxation, whose Farkas certificate already rules out an integral
     tiling; the remaining cases are decided by exact cover over supporting
-    sets.  A blown budget raises, it never reports "none".
+    sets.  A blown budget raises, it never reports "none".  Only the
+    tiling's own copies are built.
     """
     return _decide_perfect_tiling(H, budget=budget, use_lp=use_lp)[0]
 
@@ -238,18 +238,17 @@ def _decide_perfect_tiling(
         return None, "divisibility", None
     if H.n == 0:
         return Tiling((), 0), None, None
-    sets = supporting_sets(H)
-    if not sets:
+    index = _set_index(H)
+    if not index.masks:
         return None, "cover", None
     if use_lp:
-        verdict = perfect_fractional_tiling(H, sets=sets)
+        verdict = _fractional_verdict(H.n, _set_columns(H))
         if isinstance(verdict, FarkasCertificate):
             return None, "farkas", verdict
-    index = _set_index(H)
     rows = _CoverSearch(index.vertex_bits(), index.masks, budget).run()
     if rows is None:
         return None, "cover", None
-    return Tiling(tuple(sets[r][1] for r in rows), H.n), None, None
+    return Tiling(tuple(map(index.witness, rows)), H.n), None, None
 
 
 def max_tiling(H: KGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling]:
@@ -258,15 +257,15 @@ def max_tiling(H: KGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Ti
     The packing search ``_pack`` on the host index's rows; the exact LP
     optimum of the packing relaxation caps it from above, greedy packings
     seed it from below.  On budget exhaustion raises BudgetExceeded carrying
-    the certified [lower, upper] bounds.
+    the certified [lower, upper] bounds.  Only the packing's own copies are
+    built.
     """
-    sets = supporting_sets(H)
-    if not sets:
-        return 0, Tiling((), H.n)
-    lp_value, lp_tiling = packing_lp_value(H, sets=sets)
-    hi = int(lp_value)  # floor: weak duality bound for integral packings
     index = _set_index(H)
     masks = index.masks
+    if not masks:
+        return 0, Tiling((), H.n)
+    lp_value, sx = _packing_lp(H.n, _set_columns(H))
+    hi = int(lp_value)  # floor: weak duality bound for integral packings
 
     def greedy(order: Sequence[int]) -> list[int]:
         covered = 0
@@ -277,16 +276,15 @@ def max_tiling(H: KGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Ti
                 covered |= masks[r]
         return out
 
-    best = greedy(range(len(sets)))
+    best = greedy(range(len(masks)))
     # The LP's support first, heaviest first, then every row in row order;
     # a support row met again is skipped, as it is in the packing or meets it.
-    support = sorted((-w, c.vertices) for c, w in lp_tiling.weights.items())
-    first = [bisect_left(index.vertex_sets, vs) for _, vs in support]
-    alt = greedy(itertools.chain(first, range(len(sets))))
+    support = sorted((-x, j) for j, x in zip(sx.basis, sx.xb) if j < sx.m and x)
+    alt = greedy(itertools.chain((j for _, j in support), range(len(masks))))
     best = sorted(max(best, alt, key=len))
     if len(best) < hi:
-        best = _pack(index.vertex_sets, index.vertex_bits(), len(best), hi, budget) or best
-    return len(best), Tiling(tuple(sets[r][1] for r in best), H.n)
+        best = _pack(index, index.vertex_bits(), len(best), hi, budget) or best
+    return len(best), Tiling(tuple(map(index.witness, best)), H.n)
 
 
 # -- k-partite matchings and degree conditions ---------------------------------
@@ -471,8 +469,8 @@ def build_auxiliary_graph(
     b_mask = _mask(B)
     outside = ~(_mask(A) | b_mask)
     copy_map = {
-        vs: witness
-        for (vs, witness), m in zip(index.sets(), index.masks)
+        index[r]: index.witness(r)
+        for r, m in enumerate(index.masks)
         if not m & outside and (m & b_mask).bit_count() == 2
     }
     return AuxiliaryGraph(KGraph(H.n, 2 * H.k - 1, copy_map), A, B, copy_map)

@@ -11,10 +11,15 @@ One `_Simplex` object holds an LP's state (basis, B^-1, basic values), and
 each solve continues from it: phase 2 of `min_max_pair_weight` starts where
 phase 1 stopped.  Every pivot, and every pivot that retires a column, goes
 through one sparse elimination routine that touches only the nonzero columns
-of the pivot row.  The ratio test's lexicographic reference Q starts at
-identity and receives the same row operations as B^-1, so the first solve
-(from the identity basis) keeps Q == B^-1 as one matrix; a later solve keeps
-a separate fresh Q.
+of the pivot row.  The ratio test's lexicographic reference is Q = B^-1 B_0,
+B_0 the basis a solve starts from, so the first solve (from the identity
+basis) reads Q as B^-1 itself, and a later solve reads each entry of Q it
+compares from B^-1 and B_0's column, with no second matrix to pivot.
+
+The set columns are read from the host's set index: the simplex packs its
+incidence from the index's vertex masks, decodes the vertex tuple of a
+column only when it enters or is priced exactly, and an answer builds the
+witness of a basis column or of a violating set only.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ from operator import mul
 from sys import byteorder
 from typing import Optional, Sequence
 
-from .core import KGraph
+from .core import KGraph, _mask
 from .errors import BudgetExceeded, InvalidDimension, InvalidVertex
-from .patterns import TriangleCopy, supporting_sets
+from .patterns import TriangleCopy, _set_index, _vertex_columns, supporting_sets
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -129,22 +134,32 @@ def frac_str(q) -> str:
 # its incidence is packed at set-up into one int per row, a field per column.
 
 
-def _pack(block, nrows):
-    """One int per row: field j of row r's int (``_FIELD_BITS`` wide) is 1
-    when block column j holds row r.  The rows are packed one at a time."""
-    cols = [[] for _ in range(nrows)]
-    appends = [c.append for c in cols]
-    for j, rows in enumerate(block):
-        for r in rows:
-            appends[r](j)
+def _packed_rows(masks: Sequence[int], nrows: int) -> list[int]:
+    """One int per row r < ``nrows``: field j of it (``_FIELD_BITS`` wide) is
+    1 when the mask ``masks[j]`` holds r.  Each is the row's column of the
+    incidence, one 0/1 byte per block column, set into the low byte of each
+    field."""
     packed = []
-    for r in range(nrows):
-        at, cols[r] = cols[r], None
-        fields = array(_FIELD, [0]) * (at[-1] + 1 if at else 0)
-        for j in at:
-            fields[j] = 1
-        packed.append(int.from_bytes(fields, byteorder))
+    for column in _vertex_columns(masks, range(nrows), b"\x00\x01"):
+        fields = bytearray(_FIELD_BYTES * len(column))
+        fields[_FIELD_BYTES - 1::_FIELD_BYTES] = column  # last column first
+        packed.append(int.from_bytes(fields, "big"))
     return packed
+
+
+def _field_sums(values, packed, m, R):
+    """(fields, lo, shift): field j holds the sum over block column j's R
+    rows of ``(values[r] - lo) >> shift``, lo = min(values), for packed rows
+    ``packed`` of m columns, in one big-integer pass.
+
+    Every column has R rows, so the offset lowers every sum by R * lo.  When
+    R times the values' range overflows a field, each term drops its low
+    ``shift`` bits, and a field then reads under its column's sum by less
+    than R << shift."""
+    lo = min(values)
+    shift = max(0, (R * (max(values) - lo)).bit_length() - _FIELD_BITS)
+    total = sum(map(mul, [(v - lo) >> shift for v in values], packed))
+    return array(_FIELD, total.to_bytes(_FIELD_BYTES * m, byteorder)), lo, shift
 
 
 def _identity(n: int) -> list[list[Fraction]]:
@@ -163,13 +178,16 @@ class _Column:
 class _Simplex:
     """One LP and its simplex state: ``basis`` (the column basic in each
     row), ``binv`` (B^-1) and ``xb`` (the basic values), set up from the
-    identity basis ``basis`` over the right-hand side ``b``.  Each solve
-    continues from the state the previous one left."""
+    identity basis ``basis`` over the right-hand side ``b``.  ``block`` gives
+    each block column's rows, all equally many, and ``packed`` the block's
+    incidence as ``_packed_rows`` packs it.  Each solve continues from the
+    state the previous one left."""
 
     def __init__(
         self,
         nrows: int,
-        block: list[tuple[int, ...]],
+        block: Sequence[tuple[int, ...]],
+        packed: list[int],
         block_cost: int,
         others: list[_Column],
         b: Sequence[Fraction],
@@ -179,7 +197,7 @@ class _Simplex:
         self.m = len(block)
         self.block = block
         self.block_cost = block_cost
-        self.packed = _pack(block, nrows)
+        self.packed = packed
         self.others = others
         self.basis = list(basis)
         self.binv = _identity(nrows)
@@ -200,14 +218,21 @@ class _Simplex:
         n = self.nrows
         block_cost, m = self.block_cost, self.m
         basis, binv, xb = self.basis, self.binv, self.xb
-        # Lexicographic reference: rows (xb_i | Q_i) with Q starting at
-        # identity are lex-positive and stay so under the lex ratio rule.  Q
-        # receives exactly the row operations of B^-1, so the first solve
-        # (B^-1 starts at identity) keeps Q == B^-1 in one matrix; a later
-        # solve starts a separate fresh Q.
-        mats = (binv, _identity(n)) if self.solved else (binv,)
+        # Lexicographic reference: rows (xb_i | Q_i) with Q = B^-1 B_0, B_0
+        # the basis this solve starts from, are lex-positive at the start
+        # (Q = I) and stay so under the lex ratio rule.  The first solve
+        # starts from the identity, so Q is B^-1 itself.  In a later one,
+        # row i of Q at column c is row i of B^-1 times the column that was
+        # basic in row c at the start, read only where a tie needs it.
+        if self.solved:
+            start = [self._col(j)[:2] for j in basis]
+
+            def q_row(i):
+                row = binv[i].__getitem__
+                return (coef * sum(map(row, rows)) for rows, coef in start)
+        else:
+            q_row = binv.__getitem__
         self.solved = True
-        Q = mats[-1]
         others = [
             (m + idx, col.rows, col.coef, col.cost)
             for idx, col in enumerate(self.others)
@@ -246,11 +271,11 @@ class _Simplex:
             for i in range(n):
                 if d[i] <= 0:
                     continue
-                if leave < 0 or self._lex_less(i, leave, d, xb, Q):
+                if leave < 0 or self._lex_less(i, leave, d, xb, q_row):
                     leave = i
             if leave < 0:
                 raise ArithmeticError("unbounded direction in simplex")
-            self._pivot(mats, leave, d)
+            self._pivot(leave, d)
             basis[leave] = entering
             # The objective moves by rc times the entering value, and
             # y' = y + rc * (new pivot row of B^-1).
@@ -265,19 +290,11 @@ class _Simplex:
         """(sum, j) for the block column j whose rows' duals ``yi`` sum
         highest (lowest when maximizing), the least j on ties.
 
-        Summing w_r * packed[r] over the rows, with w_r = yi[r] - min(yi),
-        puts each column's sum of w in its field.  Every column has the same
-        number of rows R, so the offset lowers every sum by R * min(yi) and
-        keeps their order.  When R times the duals' range overflows a field,
-        each w_r drops its low ``shift`` bits, and a field then reads under
-        its column's sum by less than R << shift: only the columns whose
-        field is within R of the best one can be best, and those few are
-        summed exactly."""
+        The fields of ``_field_sums`` keep the columns' order, and when they
+        are truncated, only the columns whose field is within R of the best
+        one can be best, and those few are summed exactly."""
         R = len(self.block[0])
-        lo = min(yi)
-        shift = max(0, (R * (max(yi) - lo)).bit_length() - _FIELD_BITS)
-        total = sum(map(mul, [(v - lo) >> shift for v in yi], self.packed))
-        fields = array(_FIELD, total.to_bytes(_FIELD_BYTES * self.m, byteorder))
+        fields, lo, shift = _field_sums(yi, self.packed, self.m, R)
         best = max(fields) if minimize else min(fields)
         if not shift:
             return best + R * lo, fields.index(best)
@@ -291,15 +308,15 @@ class _Simplex:
         return sums[j], j
 
     @staticmethod
-    def _lex_less(i, j, d, xb, Q):
-        """(xb_i|Q_i)/d_i < (xb_j|Q_j)/d_j lexicographically (d_i, d_j > 0)."""
+    def _lex_less(i, j, d, xb, q_row):
+        """(xb_i|Q_i)/d_i < (xb_j|Q_j)/d_j lexicographically (d_i, d_j > 0),
+        with ``q_row(i)`` giving row i of Q."""
         a = xb[i] * d[j]
         b = xb[j] * d[i]
         if a != b:
             return a < b
-        qi, qj = Q[i], Q[j]
         di, dj = d[i], d[j]
-        for a_, b_ in zip(qi, qj):
+        for a_, b_ in zip(q_row(i), q_row(j)):
             lhs = a_ * dj
             rhs = b_ * di
             if lhs != rhs:
@@ -327,7 +344,7 @@ class _Simplex:
                 if sum((row[r] for r in rows), start=_ZERO) == 0:
                     continue
                 # theta = xb[i]/d[i] = 0: basis swap leaves the solution as is
-                self._pivot((binv,), i, self._column(rows, coef))
+                self._pivot(i, self._column(rows, coef))
                 basis[i] = j
                 break
 
@@ -345,25 +362,24 @@ class _Simplex:
             d = [coef * x for x in d]
         return d
 
-    def _pivot(self, mats, leave, d):
+    def _pivot(self, leave, d):
         """Make d the unit vector at ``leave``: divide row ``leave`` by d[leave]
-        and subtract d[i] times it from every other row i, in place, in each
-        matrix of ``mats`` and in xb.  Only the pivot row's nonzero columns
-        are touched, since the others would only subtract zeros."""
-        xb = self.xb
+        and subtract d[i] times it from every other row i, in place, in B^-1
+        and in xb.  Only the pivot row's nonzero columns are touched, since
+        the others would only subtract zeros."""
+        xb, binv = self.xb, self.binv
         inv_piv = 1 / d[leave]
         xb[leave] *= inv_piv
         xl = xb[leave]
         crossed = [(i, f) for i, f in enumerate(d) if f and i != leave]
-        for M in mats:
-            row = M[leave]
-            pivot_row = [(j, v * inv_piv) for j, v in enumerate(row) if v]
+        row = binv[leave]
+        pivot_row = [(j, v * inv_piv) for j, v in enumerate(row) if v]
+        for j, v in pivot_row:
+            row[j] = v
+        for i, f in crossed:
+            target = binv[i]
             for j, v in pivot_row:
-                row[j] = v
-            for i, f in crossed:
-                target = M[i]
-                for j, v in pivot_row:
-                    target[j] -= f * v
+                target[j] -= f * v
         for i, f in crossed:
             xb[i] -= f * xl
 
@@ -417,15 +433,26 @@ def _avoiding_sets(sets: SetList, B: KGraph) -> SetList:
     return out
 
 
-def _basis_tiling(n: int, sets: SetList, basis, xb) -> FractionalTiling:
-    """The weights a basic solution puts on the supporting-set columns, which
-    come first (column id = index into ``sets``)."""
-    m = len(sets)
+def _set_columns(H: KGraph, sets: Optional[SetList] = None):
+    """(rows, packed rows, witness) of the LP's set columns: the host's set
+    index, or the given ``sets``.  ``rows[j]`` is column j's vertex tuple,
+    ``witness(j)`` its least witness, and the packed rows give the incidence
+    of the n vertex rows."""
+    if sets is None:
+        index = _set_index(H)
+        return index, _packed_rows(index.masks, H.n), index.witness
+    rows = [vs for vs, _ in sets]
+    return rows, _packed_rows(list(map(_mask, rows)), H.n), lambda j: sets[j][1]
+
+
+def _basis_tiling(n: int, sx: "_Simplex", witness) -> FractionalTiling:
+    """The weights a basic solution puts on the set columns, which come
+    first; only the basic columns' witnesses are built."""
     weights: dict[TriangleCopy, Fraction] = {}
-    for col_id, x in zip(basis, xb):
-        if col_id < m and x != 0:
-            witness = sets[col_id][1]
-            weights[witness] = weights.get(witness, _ZERO) + x
+    for col_id, x in zip(sx.basis, sx.xb):
+        if col_id < sx.m and x != 0:
+            copy = witness(col_id)
+            weights[copy] = weights.get(copy, _ZERO) + x
     return FractionalTiling(n, weights)
 
 
@@ -438,19 +465,26 @@ def perfect_fractional_tiling(H: KGraph, *, sets: Optional[SetList] = None):
     Exactly one of the two is returned; the certificate is validated against
     the full supporting-set list before being handed back.
     """
-    sets = supporting_sets(H) if sets is None else sets
-    n = H.n
-    m = len(sets)
+    columns = _set_columns(H, sets)
+    verdict = _fractional_verdict(H.n, columns)
+    if isinstance(verdict, FarkasCertificate):
+        return verdict
+    return _basis_tiling(H.n, verdict, columns[2])
+
+
+def _fractional_verdict(n: int, columns):
+    """Phase 1 over the set ``columns`` of ``_set_columns``: the solved
+    simplex when a perfect fractional tiling exists, else the Farkas
+    certificate, checked against every set column."""
+    rows, packed, witness = columns
+    m = len(rows)
     artificials = [_Column((r,), 1, 1) for r in range(n)]
-    sx = _Simplex(
-        n, [vs for vs, _ in sets], 0, artificials, [_ONE] * n, range(m, m + n)
-    )
+    sx = _Simplex(n, rows, packed, 0, artificials, [_ONE] * n, range(m, m + n))
     obj, y = sx.solve(minimize=True, stop_at_zero=True)
     if obj == 0:
-        return _basis_tiling(n, sets, sx.basis, sx.xb)
-    coeffs = _scale_to_integers([-v for v in y])
-    cert = FarkasCertificate(coeffs)
-    check = verify_certificate(H, cert, sets=sets)
+        return sx
+    cert = FarkasCertificate(_scale_to_integers([-v for v in y]))
+    check = _check_certificate(cert, columns)
     if not check.valid:
         raise ArithmeticError(f"internal: extracted certificate fails: {check.reason}")
     return cert
@@ -469,15 +503,31 @@ def verify_certificate(
     """Exact check over the full copy universe; reports a violating copy."""
     if cert.n != H.n:
         raise InvalidDimension(f"certificate has {cert.n} entries, host has {H.n}")
+    return _check_certificate(cert, _set_columns(H, sets))
+
+
+def _check_certificate(cert: FarkasCertificate, columns) -> CertificateCheck:
+    """a.1 < 0, and a.1_V >= 0 for every set column V, summed exactly; the
+    first violating column in row order is reported with its witness.
+
+    Every column is summed in one packed pass (``_field_sums``).  Column j
+    sums to at least R*lo + (fields[j] << shift), so it can sum below 0 only
+    when fields[j] is under -R*lo / 2**shift, and only those columns, in row
+    order, are summed exactly."""
     if cert.total() >= 0:
         return CertificateCheck(False, f"a.1 = {cert.total()} is not negative")
-    sets = supporting_sets(H) if sets is None else sets
+    rows, packed, witness = columns
+    if not rows:
+        return CertificateCheck(True)
     coeff = cert.coeffs.__getitem__
-    for vs, witness in sets:
-        value = sum(map(coeff, vs))
+    R = len(rows[0])
+    fields, lo, shift = _field_sums(cert.coeffs, packed, len(rows), R)
+    bound = -((R * lo) >> shift)  # ceil(-R*lo / 2**shift)
+    for j in compress(count(), map(bound.__gt__, fields)):
+        value = sum(map(coeff, rows[j]))
         if value < 0:
             return CertificateCheck(
-                False, f"copy on {vs} has a.1_V = {value}", witness
+                False, f"copy on {rows[j]} has a.1_V = {value}", witness(j)
             )
     return CertificateCheck(True)
 
@@ -498,13 +548,20 @@ def packing_lp_value(
     H: KGraph, *, sets: Optional[SetList] = None
 ) -> tuple[Fraction, FractionalTiling]:
     """Exact optimum of the fractional packing relaxation max sum(w), w(u) <= 1."""
-    sets = supporting_sets(H) if sets is None else sets
-    n = H.n
-    m = len(sets)
+    columns = _set_columns(H, sets)
+    obj, sx = _packing_lp(H.n, columns)
+    return obj, _basis_tiling(H.n, sx, columns[2])
+
+
+def _packing_lp(n: int, columns) -> tuple[Fraction, "_Simplex"]:
+    """The packing relaxation's optimum over the set ``columns`` of
+    ``_set_columns``, and the solved simplex, whose basis is its support."""
+    rows, packed, _witness = columns
+    m = len(rows)
     slacks = [_Column((r,), 1, 0) for r in range(n)]
-    sx = _Simplex(n, [vs for vs, _ in sets], 1, slacks, [_ONE] * n, range(m, m + n))
+    sx = _Simplex(n, rows, packed, 1, slacks, [_ONE] * n, range(m, m + n))
     obj, _y = sx.solve(minimize=False)
-    return obj, _basis_tiling(n, sets, sx.basis, sx.xb)
+    return obj, sx
 
 
 def min_max_pair_weight(H: KGraph):
@@ -513,18 +570,21 @@ def min_max_pair_weight(H: KGraph):
     Returns (W*, tiling); if no perfect fractional tiling exists, the Farkas
     certificate is passed through instead.
     """
-    sets = supporting_sets(H)
-    first = perfect_fractional_tiling(H, sets=sets)
+    columns = _set_columns(H)
+    first = _fractional_verdict(H.n, columns)
     if isinstance(first, FarkasCertificate):
         return first
 
+    index, vertex_rows, witness = columns
     n = H.n
-    m = len(sets)
-    pairs = sorted({p for vs, _ in sets for p in combinations(vs, 2)})
+    m = len(index)
+    # the pairs inside some set; a pair's row is the AND of its vertices' rows
+    pairs = [p for p in combinations(range(n), 2) if vertex_rows[p[0]] & vertex_rows[p[1]]]
     pair_row = {p: n + idx for idx, p in enumerate(pairs)}
     nrows = n + len(pairs)
 
-    block = [vs + tuple(pair_row[p] for p in combinations(vs, 2)) for vs, _ in sets]
+    block = [vs + tuple(pair_row[p] for p in combinations(vs, 2)) for vs in index.vertex_sets]
+    packed = vertex_rows + [vertex_rows[u] & vertex_rows[v] for u, v in pairs]
     w_col = m
     others = [_Column(range(n, nrows), -1, 0)]
     slack0 = m + 1
@@ -534,7 +594,7 @@ def min_max_pair_weight(H: KGraph):
 
     b = [_ONE] * n + [_ZERO] * len(pairs)
     basis = list(range(art0, art0 + n)) + list(range(slack0, slack0 + len(pairs)))
-    sx = _Simplex(nrows, block, 0, others, b, basis)
+    sx = _Simplex(nrows, block, packed, 0, others, b, basis)
     art = set(range(art0, art0 + n))
     obj, _y = sx.solve(minimize=True, stop_at_zero=True)
     if obj != 0:
@@ -555,4 +615,4 @@ def min_max_pair_weight(H: KGraph):
             w_star = x
         elif col_id in art and x != 0:
             raise ArithmeticError("internal: artificial drifted positive in phase 2")
-    return w_star, _basis_tiling(n, sets, sx.basis, sx.xb)
+    return w_star, _basis_tiling(n, sx, witness)

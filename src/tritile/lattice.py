@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .core import KGraph, _mask, canonical_vertex_set
@@ -25,7 +27,7 @@ from .errors import (
     InvalidVertex,
 )
 from .exact import DEFAULT_NODE_BUDGET, _CoverSearch, _disjoint_rows
-from .patterns import _set_index, _vertex_bits
+from .patterns import _mask_vertices, _row_bits, _set_index
 
 YES = "yes"
 NO = "no"
@@ -175,17 +177,15 @@ class RobustnessReport:
     removable: int  # floor(beta n): the W budget the family must survive
 
 
-def _min_hit_decision(
-    family: list[tuple[int, ...]], limit: int, budget: int
-) -> Optional[list[int]]:
-    """Hitting set of <= limit vertices over a family of sorted vertex
-    tuples, or None.
+def _min_hit_decision(family: list[int], limit: int, budget: int) -> Optional[list[int]]:
+    """Hitting set of <= limit vertices over a family of vertex masks, or
+    None.
 
     Depth first: a node branches on the vertices of the first member not
     yet hit, ascending.  Member i is bit i of each vertex's bitset, so a
     branch drops the members its vertex hits with one AND.
     """
-    hits = _vertex_bits(set().union(*family), family)
+    hits = _row_bits(family, _mask_vertices(reduce(or_, family, 0)))
     nodes = 0
 
     def rec(alive: int, depth: int, chosen: list[int]) -> Optional[list[int]]:
@@ -197,7 +197,7 @@ def _min_hit_decision(
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(f"hitting-set search exceeded {budget} nodes")
-        for v in family[(alive & -alive).bit_length() - 1]:
+        for v in _mask_vertices(family[(alive & -alive).bit_length() - 1]):
             chosen.append(v)
             found = rec(alive & ~hits[v], depth + 1, chosen)
             if found is not None:
@@ -233,12 +233,12 @@ def robust_vectors(
     index = _set_index(H)
     block_masks = [_mask(b) for b in P.blocks]
     n = P.n
-    by_vec: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for vs, mask in zip(index.vertex_sets, index.masks):
+    by_vec: dict[tuple[int, ...], list[int]] = {}
+    for mask in index.masks:
         if mask >> n:
-            raise InvalidVertex(f"{vs} leaves the partition's vertex range")
+            raise InvalidVertex(f"{_mask_vertices(mask)} leaves the partition's vertex range")
         vec = tuple((mask & bm).bit_count() for bm in block_masks)
-        by_vec.setdefault(vec, []).append(vs)
+        by_vec.setdefault(vec, []).append(mask)
     out = {}
     for vec in sorted(by_vec):
         fam = by_vec[vec]
@@ -257,7 +257,7 @@ def robust_vectors(
                             break
                     status = "not-robust"
             elif mode == "packing-bound":
-                if _disjoint_rows(fam, m + 1, budget) is not None:
+                if _disjoint_rows(list(map(_mask_vertices, fam)), m + 1, budget) is not None:
                     status, value = "robust", m + 1
             else:
                 raise ValueError(f"unknown mode {mode!r}")
@@ -428,7 +428,7 @@ def reachable(
     if mode == "exact":
         family = list(_connectors(H, u, v, t, {u, v}, budget))
         # an empty family is hit by the empty set: NO
-        hit = _min_hit_decision(family, m, budget)
+        hit = _min_hit_decision(list(map(_mask, family)), m, budget)
         return NO if hit is not None else YES
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -10,9 +10,10 @@ pattern automorphisms, so LP columns and exact-cover rows never double count.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import KGraph, _mask, canonical_vertex_set
@@ -239,89 +240,135 @@ def supporting_sets(
 
 
 class _SetIndex:
-    """A host's supporting sets, sorted by vertex set, with their vertex masks.
+    """A host's supporting sets as vertex masks, sorted by vertex set.
 
-    Row r is the set ``vertex_sets[r]``.  The least witnesses and the
-    per-vertex row bitsets are built on first use, so a caller that reads
-    only vertex sets, masks and bitsets, as ``lattice.perfectly_tilable``
-    and ``lattice.robust_vectors`` do, never pays for the witnesses, and a
-    host whose questions the LP settles never pays for the bitsets.
+    Row r is the set of mask ``masks[r]``.  The masks, and the build
+    pass's map from each mask to the base of its least witness, are all
+    that is built for every row up front.  A row's vertex tuple
+    (``index[r]``) and least witness (``witness(r)``) are built on first
+    read and kept, so a solver builds only those its answer names and every
+    caller gets the same objects.  The per-vertex row bitsets are built on
+    first use, so a host whose questions the LP settles never pays for
+    them.
     """
 
-    __slots__ = ("n", "vertex_sets", "masks", "_bases", "_sets", "_bits")
+    __slots__ = ("n", "masks", "_first", "_tuples", "_witnesses", "_tails", "_sets", "_bits")
 
     def __init__(self, H: KGraph, cap: int):
-        # One pass over the edges per base, in sorted base order: a spine
-        # edge misses the base and holds two of its neighbours, so base +
-        # spine supports a copy, and the first base to reach a set is the
-        # base of its least witness.  For k=2 both apexes lie above the base
-        # vertex, as in ``_copies``.
+        # One pass per base, in sorted base order: a spine edge misses the
+        # base and holds two of its admissible apexes, so base + spine
+        # supports a copy, and the first base to reach a set is the base of
+        # its least witness.  The spines are read from per-vertex edge
+        # bitsets: the edges holding two apexes, less those meeting the
+        # base.  For k=2 both apexes lie above the base vertex, as in
+        # ``_copies``.
         edge_masks = [_mask(e) for e in H.edges]
+        holds = _row_bits(edge_masks, range(H.n))
         first: dict[int, tuple] = {}
         for base, nbrs in sorted(H._neighborhood_index().items()):
+            if H.k == 2:
+                nbrs = nbrs[bisect_right(nbrs, base[0]):]
             if len(nbrs) < 2:
                 continue
+            one = two = 0
+            for a in nbrs:
+                two |= one & holds[a]
+                one |= holds[a]
+            for v in base:
+                two &= ~holds[v]
             bm = _mask(base)
-            nm = _mask(nbrs) if H.k > 2 else _mask(nbrs) & (-2 << base[0])
-            found = (base, bm, nm)
-            for em in edge_masks:
-                if not em & bm:
-                    x = em & nm
-                    if x & (x - 1):
-                        m = bm | em
-                        if m not in first:
-                            first[m] = found
+            found = (base, bm, _mask(nbrs))
+            # the edges of the bits set in ``two``: its binary digits, the
+            # lowest first, as 0/1 flags
+            for em in compress(edge_masks, bin(two)[:1:-1].encode().translate(_FLAGS)):
+                m = bm | em
+                if m not in first:
+                    first[m] = found
             _check_set_cap(len(first), cap)
-        rows = sorted((_mask_vertices(m), m, found) for m, found in first.items())
-        self.vertex_sets = [vs for vs, _, _ in rows]
-        self.masks = [m for _, m, _ in rows]
-        # (base, base mask, mask of the base's admissible apexes) per row;
-        # the spine edge is the row's mask without the base mask
-        self._bases = [found for _, _, found in rows]
-        self._sets: Optional[list[tuple[tuple[int, ...], TriangleCopy]]] = None
+        # A mask's little-endian bytes, each with its bits reversed, put
+        # vertex 0 in the top bit.  Two sets of one size first differ at the
+        # least vertex in just one of them, and that set has the smaller
+        # vertex tuple and the larger reversed bytes, so sorting those
+        # descending sorts the sets by vertex tuple.
+        width = (H.n + 7) >> 3
+        keys = sorted(
+            map(bytes.translate, map(int.to_bytes, first, repeat(width), repeat("little")),
+                repeat(_REVERSED)),
+            reverse=True,
+        )
+        self.masks = list(
+            map(int.from_bytes, map(bytes.translate, keys, repeat(_REVERSED)), repeat("little"))
+        )
+        # (base, base mask, mask of the base's admissible apexes) per set
+        # mask; a row's spine edge is its mask without the base mask
+        self._first = first
         self.n = H.n
+        self._tuples: Optional[list[Optional[tuple[int, ...]]]] = None
+        self._witnesses: Optional[list[Optional[TriangleCopy]]] = None
+        self._tails: dict[int, tuple[int, ...]] = {}  # shared by the witnesses
+        self._sets: Optional[list[tuple[tuple[int, ...], TriangleCopy]]] = None
         self._bits: Optional[dict[int, int]] = None
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, r: int) -> tuple[int, ...]:
+        """The vertex tuple of row r, decoded on first read and kept."""
+        if self._tuples is None:
+            self._tuples = [None] * len(self.masks)
+        vs = self._tuples[r]
+        if vs is None:
+            vs = self._tuples[r] = _mask_vertices(self.masks[r])
+        return vs
+
+    @property
+    def vertex_sets(self) -> list[tuple[int, ...]]:
+        """Every row's vertex tuple, in row order."""
+        return list(map(self.__getitem__, range(len(self.masks))))
+
+    def witness(self, r: int) -> TriangleCopy:
+        """The least witness of row r, built on first read and kept: the
+        row's base, the base's two least neighbours on the spine as apexes
+        and the rest of the spine as tail."""
+        if self._witnesses is None:
+            self._witnesses = [None] * len(self.masks)
+        copy = self._witnesses[r]
+        if copy is None:
+            m = self.masks[r]
+            base, bm, nm = self._first[m]
+            spine = m ^ bm
+            x = spine & nm
+            a = x & -x
+            x ^= a
+            b = x & -x
+            t = spine ^ a ^ b
+            tail = self._tails.get(t)
+            if tail is None:
+                tail = self._tails[t] = _mask_vertices(t)
+            copy = self._witnesses[r] = object.__new__(TriangleCopy)
+            set_base, set_apexes, set_tail = _COPY_SLOT_SETTERS
+            set_base(copy, base)
+            set_apexes(copy, (a.bit_length() - 1, b.bit_length() - 1))
+            set_tail(copy, tail)
+        return copy
 
     def sets(self) -> list[tuple[tuple[int, ...], TriangleCopy]]:
         """Every row as (vertex set, least witness), built on first use and
-        kept, so every caller gets the same witness objects.  A row's least
-        witness has its base, the base's two least neighbours on the spine
-        as apexes and the rest of the spine as tail.  Callers must not
-        mutate the list."""
+        kept.  Callers must not mutate the list."""
         if self._sets is None:
-            new = object.__new__
-            set_base, set_apexes, set_tail = _COPY_SLOT_SETTERS
-            tails: dict[int, tuple[int, ...]] = {}
-            sets = []
-            for vs, m, (base, bm, nm) in zip(self.vertex_sets, self.masks, self._bases):
-                spine = m ^ bm
-                x = spine & nm
-                a = x & -x
-                x ^= a
-                b = x & -x
-                t = spine ^ a ^ b
-                tail = tails.get(t)
-                if tail is None:
-                    tail = tails[t] = _mask_vertices(t)
-                copy = new(TriangleCopy)
-                set_base(copy, base)
-                set_apexes(copy, (a.bit_length() - 1, b.bit_length() - 1))
-                set_tail(copy, tail)
-                sets.append((vs, copy))
-            self._sets = sets
+            self._sets = list(zip(self.vertex_sets, map(self.witness, range(len(self.masks)))))
         return self._sets
 
     def vertex_bits(self) -> dict[int, int]:
         """Every vertex's row bitset, vertices ascending: bit r is set when
         row r holds the vertex.  Callers must not mutate the dict."""
         if self._bits is None:
-            self._bits = _vertex_bits(range(self.n), self.vertex_sets)
+            self._bits = _row_bits(self.masks, range(self.n))
         return self._bits
 
     def contains(self, vs: tuple[int, ...]) -> bool:
         """Is the canonical (2k-1)-tuple ``vs`` a supporting set?"""
-        r = bisect_left(self.vertex_sets, vs)
-        return r < len(self.vertex_sets) and self.vertex_sets[r] == vs
+        return _mask(vs) in self._first
 
     def bits_inside(self, vs: tuple[int, ...]) -> dict[int, int]:
         """``vertex_bits`` restricted to the sets inside the canonical tuple
@@ -356,19 +403,36 @@ def _mask_vertices(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _vertex_bits(
-    universe: Iterable[int], rows: Sequence[Iterable[int]]
-) -> dict[int, int]:
+# Byte tables: each byte with its bits reversed, and the digits "0" and "1"
+# as the bytes 0 and 1.
+_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _vertex_columns(
+    masks: Sequence[int], universe: Sequence[int], flags: bytes = b"01"
+) -> list[bytes]:
+    """The transpose of the rows ``masks``: for each vertex of ``universe``,
+    in its order, one byte per row, the last row first, ``flags[1]`` where
+    the row holds the vertex and ``flags[0]`` where it does not.  Every
+    row must lie inside ``universe``.
+
+    The masks are written out as bytes once; a vertex's column is then one
+    slice of every row's byte holding it and one ``bytes.translate`` of
+    that byte to the vertex's flag."""
+    width = (max(universe, default=0) >> 3) + 1
+    rows = b"".join(map(int.to_bytes, reversed(masks), repeat(width), repeat("little")))
+    off, on = flags[:1], flags[1:]
+    tables = [(off * (1 << b) + on * (1 << b)) * (128 >> b) for b in range(8)]
+    return [rows[v >> 3::width].translate(tables[v & 7]) for v in universe]
+
+
+def _row_bits(masks: Sequence[int], universe: Sequence[int]) -> dict[int, int]:
     """Each vertex of ``universe``, in its order, with its row bitset: bit r
-    is set when ``rows[r]`` holds the vertex.  Every row must lie inside
-    ``universe``.  Each bitset is read from one string of '0'/'1' flags, the
-    last row first; OR-ing in one bit per row would take quadratic time."""
-    last = len(rows) - 1
-    flags = {v: bytearray(b"0") * len(rows) for v in universe}
-    for p, vs in zip(range(last, -1, -1), rows):
-        for v in vs:
-            flags[v][p] = 49  # ord("1")
-    return {v: int(f, 2) if f else 0 for v, f in flags.items()}
+    is set when ``masks[r]`` holds the vertex.  Every row must lie inside
+    ``universe``.  A bitset is its column of "0"/"1" digits, read base 2."""
+    columns = _vertex_columns(masks, universe)
+    return {v: int(column, 2) if column else 0 for v, column in zip(universe, columns)}
 
 
 def _check_set_cap(count: int, cap: int) -> None:

@@ -197,3 +197,25 @@ def oracle_max_packing(rows):
         if oracle_first_disjoint_rows(rows, want) is not None:
             return want
     return 0
+
+
+def oracle_row_bits(universe, rows):
+    """Each vertex of ``universe``, in its order, with the bitset of the
+    rows holding it (bit r for ``rows[r]``), one bit at a time."""
+    return {v: sum(1 << r for r, row in enumerate(rows) if v in row) for v in universe}
+
+
+def oracle_packed_rows(block, nrows, field_bits):
+    """One int per row r < ``nrows``: field j, ``field_bits`` wide, is 1 when
+    column j of ``block`` holds r, one field at a time."""
+    return [
+        sum(1 << (field_bits * j) for j, column in enumerate(block) if r in column)
+        for r in range(nrows)
+    ]
+
+
+def oracle_supporting_sets(H):
+    """Every (2k-1)-set supporting the pattern, in vertex-tuple order."""
+    return [
+        S for S in itertools.combinations(range(H.n), 2 * H.k - 1) if oracle_supports(H, S)
+    ]

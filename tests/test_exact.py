@@ -23,8 +23,9 @@ from tritile.exact import (
     perfect_tiling,
 )
 from tritile.lattice import VertexPartition, index_vector, perfectly_tilable, robust_vectors
-from tritile.patterns import _set_index
+from tritile.patterns import _set_index, _SetIndex
 from tritile.rainbow import GraphFamily, rainbow_perfect_tiling
+from tritile import fractional
 from tritile.fractional import packing_lp_value, perfect_fractional_tiling, FractionalTiling
 from tritile.validate import check_copy, check_matching, check_tiling
 
@@ -87,6 +88,63 @@ def test_max_tiling_at_least_perfect(small_corpus):
         t = perfect_tiling(H)
         if t is not None:
             assert max_tiling(H)[0] == H.n // 5
+
+
+@pytest.fixture
+def witness_builds(monkeypatch):
+    """Every (index, row) whose least witness is built, in build order, and
+    every FractionalTiling the LP layer builds from a basis."""
+    built = {"witnesses": [], "tilings": []}
+    witness, basis_tiling = _SetIndex.witness, fractional._basis_tiling
+
+    def counting_witness(index, r):
+        if index._witnesses is None or index._witnesses[r] is None:
+            built["witnesses"].append((index, r))
+        return witness(index, r)
+
+    def counting_tiling(*args):
+        tiling = basis_tiling(*args)
+        built["tilings"].append(tiling)
+        return tiling
+
+    monkeypatch.setattr(_SetIndex, "witness", counting_witness)
+    monkeypatch.setattr(fractional, "_basis_tiling", counting_tiling)
+    return built
+
+
+def _built_copies(built):
+    return [index.witness(r) for index, r in built["witnesses"]]
+
+
+def test_perfect_tiling_builds_only_the_witnesses_of_its_tiling(witness_builds):
+    H = extremal_construction(3, 20).graph
+    assert perfect_tiling(H) is None  # decided by a Farkas certificate
+    assert witness_builds == {"witnesses": [], "tilings": []}
+    for H in (
+        complete_kgraph(10, 3),
+        complete_kgraph(15, 3),
+        random_with_codegree(15, 3, 4, seed=0),
+        complete_kgraph(7, 4),
+    ):
+        witness_builds["witnesses"].clear()
+        tiling = perfect_tiling(H)
+        assert tiling is not None and tiling.perfect
+        assert [id(c) for c in _built_copies(witness_builds)] == [id(c) for c in tiling.copies]
+    assert witness_builds["tilings"] == []  # the LP prefilter builds no FractionalTiling
+
+
+def test_max_tiling_builds_only_the_witnesses_of_its_packing(witness_builds):
+    for H in (
+        extremal_construction(3, 20).graph,
+        extremal_construction(4, 14).graph,
+        random_with_codegree(13, 3, 3, seed=5),
+        complete_kgraph(10, 3),
+    ):
+        witness_builds["witnesses"].clear()
+        value, tiling = max_tiling(H)
+        assert value == len(tiling.copies) > 0
+        assert [id(c) for c in _built_copies(witness_builds)] == [id(c) for c in tiling.copies]
+    assert witness_builds["tilings"] == []
 
 
 def test_kpartite_matching_simple():

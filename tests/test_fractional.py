@@ -16,7 +16,7 @@ from tritile.fractional import (
     perfect_fractional_tiling,
     verify_certificate,
 )
-from tritile.patterns import generalized_triangle
+from tritile.patterns import generalized_triangle, supporting_sets
 from tritile.validate import check_certificate, check_fractional
 
 
@@ -63,6 +63,43 @@ def test_verify_certificate_fails_on_tilable_host():
         cert = FarkasCertificate(coeffs)
         check = verify_certificate(H, cert)
         assert not check.valid
+
+
+def _first_violation(H, coeffs):
+    """(vertex set, a.1_V, least witness) of the first supporting set, in
+    vertex-set order, whose coefficients sum below 0, by plain sums."""
+    for vs, witness in supporting_sets(H):
+        value = sum(coeffs[v] for v in vs)
+        if value < 0:
+            return vs, value, witness
+    return None
+
+
+def test_certificate_check_tests_the_total_and_every_set():
+    """On ext(3,20) the closed-form vector (3 on A, -2 on B) is valid.
+    Lowering any one coefficient makes some sets sum below 0, and the check
+    reports the first of them with its least witness, whichever vertex it
+    was; a vector whose total is not negative fails on its total alone."""
+    inst = extremal_construction(3, 20)
+    H = inst.graph
+    closed = [-2] * H.n
+    for a in inst.A:
+        closed[a] = 3
+    assert verify_certificate(H, FarkasCertificate(tuple(closed))).valid
+    for v in range(H.n):
+        lowered = list(closed)
+        lowered[v] -= 1
+        check = verify_certificate(H, FarkasCertificate(tuple(lowered)))
+        vs, value, witness = _first_violation(H, lowered)
+        assert (check.valid, check.reason) == (False, f"copy on {vs} has a.1_V = {value}")
+        assert check.violating_copy is witness
+    raised = list(closed)
+    raised[inst.B[-1]] += 5  # every set still sums to >= 0, the total to 0
+    assert _first_violation(H, raised) is None
+    check = verify_certificate(H, FarkasCertificate(tuple(raised)))
+    assert (check.valid, check.reason, check.violating_copy) == (
+        False, "a.1 = 0 is not negative", None
+    )
 
 
 def test_verify_certificate_dimension_error():

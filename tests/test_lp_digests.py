@@ -81,6 +81,8 @@ PINS = {
     ("rand(9,3,2,s5)", "minmax"): "02ca22ead8bc3796d9a2ef747bc0fcb140006a3f9680807244a41a611fa7c682",
     ("rand(10,3,1,s2)", "fractional"): "46cd8e188a88d3b8ab9aad8fffaab08d65c1739fcbffe02d81387a324747edd6",
     ("rand(10,3,1,s2)", "packing"): "465dfa634f22a1df50b9672eae6e37551ed220a4df451da9756d1687361231df",
+    # feasible, and its min-max phase 2 breaks 133 ratio-test ties on Q
+    ("rand(10,3,1,s2)", "minmax"): "7d2bd5350ebf5d8c57b31d7b0423cd334e5ca91e99c136178409252d2a4a0e82",
     ("rand(11,3,3,s7)", "fractional"): "aa5d41189e422dcde4b667daa66ecebb1addc47132ad69b3408734eb2191ca4e",
     ("rand(11,3,3,s7)", "packing"): "cb721879265efb9751a42bc6c606aba2c9dd38921f53313bdf34a3b20999462e",
     ("rand(8,3,0,s1)", "fractional"): "49512ceab25f58534331cbd6a10087054b72e2f1f34586950450e52d3b7ebfbb",

@@ -27,17 +27,21 @@ from tritile.fractional import (
     min_max_pair_weight,
     packing_lp_value,
     perfect_fractional_tiling,
+    verify_certificate,
 )
 from tritile.lattice import _min_hit_decision
-from tritile.patterns import _vertex_bits
-from tritile.validate import check_certificate, check_fractional, check_tiling
+from tritile.patterns import _set_index, supports_triangle
+from tritile.validate import brute_supports, check_certificate, check_fractional, check_tiling
 
 from oracles import (
     oracle_cover_search,
     oracle_first_disjoint_rows,
     oracle_max_packing,
     oracle_min_hit_decision,
+    oracle_packed_rows,
     oracle_price,
+    oracle_row_bits,
+    oracle_supporting_sets,
 )
 
 
@@ -51,6 +55,10 @@ def small_hosts(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     edges = [e for e in itertools.combinations(range(n), k) if rng.random() < density]
     return KGraph(n, k, edges)
+
+
+def _packed(block, nrows):
+    return oracle_packed_rows(block, nrows, fractional._FIELD_BITS)
 
 
 def _relabel(H: KGraph, perm) -> KGraph:
@@ -130,8 +138,8 @@ def _recorded_solves():
     init, solve, retire = Simplex.__init__, Simplex.solve, Simplex.retire
     rhs, solves, retires = {}, [], []
 
-    def recording_init(self, nrows, block, block_cost, others, b, basis):
-        init(self, nrows, block, block_cost, others, b, basis)
+    def recording_init(self, nrows, block, packed, block_cost, others, b, basis):
+        init(self, nrows, block, packed, block_cost, others, b, basis)
         rhs[self] = [Fraction(x) for x in b]
 
     def recording_solve(self, **kwargs):
@@ -200,7 +208,7 @@ def test_retired_column_never_enters():
     (cost 0) would enter, but once retired the set column (cost 2) does."""
     def lp():
         others = [fractional._Column((0,), 1, 3), fractional._Column((0,), 1, 0)]
-        return fractional._Simplex(1, [(0,)], 2, others, [1], [1])
+        return fractional._Simplex(1, [(0,)], _packed([(0,)], 1), 2, others, [1], [1])
 
     free = lp()
     assert free.solve() == (0, [0]) and free.basis == [2]
@@ -208,6 +216,76 @@ def test_retired_column_never_enters():
     barred.retire([2])
     assert barred.solve() == (2, [2]) and barred.basis == [0]
     assert barred.xb == [1]
+
+
+@given(small_hosts(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_certificate_check_agrees_with_the_validator(H, data):
+    """``verify_certificate`` against ``validate.check_certificate``: on the
+    solver's own certificate, scaled and with one coefficient perhaps
+    lowered, and on drawn vectors where there is none.  Steps of 2**20 and
+    2**70 make the values too wide for the packed fields.  A check that
+    fails on a set names the first violating set in vertex-set order and
+    that set's least copy."""
+    s = 2 * H.k - 1
+    verdict = perfect_fractional_tiling(H)
+    step = data.draw(st.sampled_from([1, 2**20, 2**70]))
+    if isinstance(verdict, FarkasCertificate):
+        coeffs = [c * step for c in verdict.coeffs]
+        coeffs[data.draw(st.integers(0, H.n - 1))] -= data.draw(st.integers(0, 2))
+    else:
+        small = st.integers(-3, 3)
+        coeffs = [data.draw(small) * step + data.draw(small) for _ in range(H.n)]
+    cert = FarkasCertificate(tuple(coeffs))
+    check = verify_certificate(H, cert)
+    assert check.valid == check_certificate(H, cert)
+    if not check.valid and cert.total() < 0:
+        S, value = next(
+            (S, value)
+            for S in itertools.combinations(range(H.n), s)
+            for value in [sum(coeffs[v] for v in S)]
+            if value < 0 and brute_supports(H, S)
+        )
+        assert check.reason == f"copy on {S} has a.1_V = {value}"
+        assert check.violating_copy == supports_triangle(H, S)
+
+
+@st.composite
+def index_hosts(draw):
+    """k=2 hosts on 3..17 vertices, k=3 hosts on 5..10 and k=4 hosts on
+    7..9, with each k-set an edge at a drawn density: vertex masks of one
+    to three bytes."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(2 * k - 1, {2: 17, 3: 10, 4: 9}[k]))
+    density = draw(st.integers(1, 10)) / 10
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [e for e in itertools.combinations(range(n), k) if rng.random() < density]
+    return KGraph(n, k, edges)
+
+
+@given(index_hosts())
+@settings(max_examples=150, deadline=None)
+def test_masks_first_index_matches_brute_force(H):
+    """The index's rows, sorted by their reversed mask bytes, are the
+    supporting sets in vertex-tuple order; its transposed row bitsets and
+    packed LP rows equal the ones built bit by bit from the vertex tuples;
+    ``contains`` answers every (2k-1)-set; and one set over the cap raises
+    with ``partial_count == cap + 1``, in the build and from the cache."""
+    sets = oracle_supporting_sets(H)
+    index = _set_index(H)
+    assert [index[r] for r in range(len(index))] == sets
+    assert index.masks == [sum(1 << v for v in vs) for vs in sets]
+    assert list(index.vertex_bits().items()) == list(oracle_row_bits(range(H.n), sets).items())
+    packed = oracle_packed_rows(sets, H.n, fractional._FIELD_BITS)
+    assert fractional._packed_rows(index.masks, H.n) == packed
+    support = set(sets)
+    for S in itertools.combinations(range(H.n), 2 * H.k - 1):
+        assert index.contains(S) == (S in support)
+    if sets:
+        for host in (KGraph(H.n, H.k, H.edges), H):  # a fresh build, then the cache
+            with pytest.raises(BudgetExceeded) as over:
+                _set_index(host, cap=len(sets) - 1)
+            assert over.value.partial_count == len(sets)
 
 
 @st.composite
@@ -231,7 +309,7 @@ def priced_blocks(draw):
 @settings(max_examples=300, deadline=None)
 def test_packed_pricing_matches_plain_sums(case, minimize):
     nrows, block, duals = case
-    sx = fractional._Simplex(nrows, block, 0, [], [0] * nrows, [0] * nrows)
+    sx = fractional._Simplex(nrows, block, _packed(block, nrows), 0, [], [0] * nrows, [0] * nrows)
     assert sx._price(duals, minimize) == oracle_price(block, duals, minimize)
 
 
@@ -240,7 +318,8 @@ def test_packed_pricing_looks_past_the_best_field():
     column 1 sums 2X - 3, but their fields read 2**15 - 2 and 2**15 - 1, so
     each sense's best column has a field one off the best field."""
     X = 2**20
-    sx = fractional._Simplex(4, [(0, 1), (2, 3)], 0, [], [0] * 4, [0] * 4)
+    block = [(0, 1), (2, 3)]
+    sx = fractional._Simplex(4, block, _packed(block, 4), 0, [], [0] * 4, [0] * 4)
     assert sx._price([X - 1, X - 1, 2 * X - 3, 0], True) == (2 * X - 2, 0)
     assert sx._price([X - 1, X - 1, 2 * X - 3, 0], False) == (2 * X - 3, 1)
 
@@ -297,10 +376,6 @@ def _hit_outcome(search, family, limit, budget):
         return "budget"
 
 
-def _vertices(mask):
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
 @given(
     st.lists(st.integers(0, 2**9 - 1), max_size=14),
     st.integers(0, 4),
@@ -310,11 +385,10 @@ def test_hitting_set_search_matches_the_refiltering_oracle(family, limit):
     """The same hitting set or None, and a raise at every budget below the
     oracle's node count: both count nodes alike, so they raise at the same
     node."""
-    sets = [_vertices(m) for m in family]
     budget = 0
     while True:
         want = _hit_outcome(oracle_min_hit_decision, family, limit, budget)
-        assert _hit_outcome(_min_hit_decision, sets, limit, budget) == want
+        assert _hit_outcome(_min_hit_decision, family, limit, budget) == want
         if want != "budget":
             break
         budget += 1
@@ -338,7 +412,7 @@ def test_packing_search_finds_the_first_and_the_largest_packings(case, want):
     n, size, rows = case
     first = _disjoint_rows(rows, want, 10**6)
     assert first == oracle_first_disjoint_rows(rows, want)
-    found = _pack(rows, _vertex_bits(range(n), rows), 0, n // size, 10**6)
+    found = _pack(rows, oracle_row_bits(range(n), rows), 0, n // size, 10**6)
     assert len(found or ()) == oracle_max_packing(rows)
     if found:
         assert found == sorted(found)
