@@ -181,7 +181,7 @@ def cmd_gen(args) -> tuple:
     elif args.kind == "random":
         if args.delta is None or args.seed is None:
             raise UsageError("gen random needs --delta and --seed")
-        H = random_with_codegree(args.n, args.k, args.delta, args.seed, args.max_rounds)
+        H = random_with_codegree(args.n, args.k, args.delta, args.seed)
         sidecar = dict(kind="random", n=args.n, k=args.k, delta=args.delta, seed=args.seed)
     else:
         H = complete_kgraph(args.n, args.k)
@@ -288,12 +288,8 @@ def cmd_connector(args) -> tuple:
 
 def cmd_rainbow(args) -> tuple:
     manifest = Path(args.manifest)
-    paths = [
-        line.strip()
-        for line in manifest.read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    family = GraphFamily(tuple(load_kgraph(manifest.parent / p) for p in paths))
+    lines = _manifest_lines(manifest)
+    family = GraphFamily(tuple(load_kgraph(manifest.parent / p) for _, p in lines))
     rt = rainbow_perfect_tiling(family, budget=args.budget)
     return _found(rt, RainbowTiling.to_json)
 
@@ -335,23 +331,30 @@ def cmd_dh_check(args) -> tuple:
     return all(verdicts), fields
 
 
-def _manifest_rows(path) -> list[dict]:
-    """One JSON object with a list of strings ``args`` per line; blank lines
-    and ``#`` comments are skipped."""
-    rows = []
+def _manifest_lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped line) for each line of the UTF-8 manifest at
+    ``path``; blank lines and ``#`` comments are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            row = json.loads(line)
-            args = row.get("args") if isinstance(row, dict) else None
-            if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
-                raise UsageError(
-                    f"manifest line {number}: expected a JSON object with a list "
-                    "of strings 'args'"
-                )
-            rows.append(row)
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
+    stripped = ((number, line.strip()) for number, line in enumerate(lines, 1))
+    return [(number, line) for number, line in stripped if line and not line.startswith("#")]
+
+
+def _manifest_rows(path) -> list[dict]:
+    """One JSON object with a list of strings ``args`` per manifest line."""
+    rows = []
+    for number, line in _manifest_lines(path):
+        row = json.loads(line)
+        args = row.get("args") if isinstance(row, dict) else None
+        if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
+            raise UsageError(
+                f"manifest line {number}: expected a JSON object with a list "
+                "of strings 'args'"
+            )
+        rows.append(row)
     return rows
 
 
@@ -404,7 +407,6 @@ COMMANDS = {
         ("--k", {"type": int, "required": True}),
         ("--delta", {"type": int}),
         ("--seed", {"type": int}),
-        ("--max-rounds", {"type": int, "default": 4}),
         _OUTPUT,
     ]),
     "info": (cmd_info, "instance-summary", "summarize an instance", ["instance"]),

@@ -120,24 +120,17 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-def random_with_codegree(
-    n: int,
-    k: int,
-    delta_target: int,
-    seed: int,
-    max_rounds: int = 4,
-) -> KGraph:
+def random_with_codegree(n: int, k: int, delta_target: int, seed: int) -> KGraph:
     """Seeded graph with minimum codegree at least ``delta_target``.
 
-    Pass over all (k-1)-sets in lexicographic order; while one is deficient,
-    add a uniformly random completing edge (SplitMix64 stream).  Adding edges
-    never lowers a codegree, so a single pass normally suffices; the round
-    limit guards the degenerate cases.
+    One pass over all (k-1)-sets in lexicographic order; while one is
+    deficient, add a uniformly random completing edge (SplitMix64 stream).
+    Each set reaches the target when the pass reaches it, and adding edges
+    never lowers a codegree, so one pass is enough.
     """
     if delta_target > n - k + 1:
         raise GenerationFailed(
-            f"target {delta_target} exceeds the maximum codegree {n - k + 1}",
-            achieved=None,
+            f"target {delta_target} exceeds the maximum codegree {n - k + 1}"
         )
     rng = SplitMix64(seed)
     edges: set[tuple[int, ...]] = set()
@@ -149,24 +142,13 @@ def random_with_codegree(
             s = e[:i] + e[i + 1:]
             nbr_count.setdefault(s, set()).add(e[i])
 
-    for _ in range(max(1, max_rounds)):
-        deficient = False
-        for s in itertools.combinations(range(n), k - 1):
-            have = nbr_count.setdefault(s, set())
-            while len(have) < delta_target:
-                deficient = True
-                candidates = [v for v in range(n) if v not in s and v not in have]
-                v = candidates[rng.below(len(candidates))]
-                add_edge(tuple(sorted(s + (v,))))
-        if not deficient:
-            break
-    H = KGraph(n, k, edges)
-    achieved = min((len(v) for v in nbr_count.values()), default=0)
-    if achieved < delta_target:
-        raise GenerationFailed(
-            f"reached codegree {achieved} < {delta_target}", achieved=achieved
-        )
-    return H
+    for s in itertools.combinations(range(n), k - 1):
+        have = nbr_count.setdefault(s, set())
+        while len(have) < delta_target:
+            candidates = [v for v in range(n) if v not in s and v not in have]
+            v = candidates[rng.below(len(candidates))]
+            add_edge(tuple(sorted(s + (v,))))
+    return KGraph(n, k, edges)
 
 
 def dominates(U, W) -> bool:

@@ -30,6 +30,13 @@ def canonical_vertex_set(vertices: Iterable[int]) -> tuple[int, ...]:
     return vs
 
 
+def _check_range(vs: Sequence[int], n: int) -> Sequence[int]:
+    """The ascending ``vs``, once it lies in 0..n-1; InvalidVertex if not."""
+    if vs and (vs[0] < 0 or vs[-1] >= n):
+        raise InvalidVertex(f"{tuple(vs)} leaves the vertex range 0..{n - 1}")
+    return vs
+
+
 class KGraph:
     """Immutable k-uniform hypergraph on vertices 0..n-1.
 
@@ -102,9 +109,7 @@ class KGraph:
         s = tuple(sorted(S))
         if len(s) != self.k - 1 or len(set(s)) != self.k - 1:
             raise InvalidArity(f"{s} is not a set of {self.k - 1} distinct vertices")
-        if s and (s[0] < 0 or s[-1] >= self.n):
-            raise InvalidVertex(f"{s} leaves the vertex range 0..{self.n - 1}")
-        return s
+        return _check_range(s, self.n)
 
     def neighborhood(self, S: Iterable[int]) -> tuple[int, ...]:
         """Vertices v with S + {v} an edge, for a (k-1)-set S."""
@@ -154,9 +159,7 @@ def induced(H: KGraph, S: Iterable[int]) -> tuple[KGraph, dict[int, int]]:
 
     Returns the relabelled graph and the old-vertex -> new-vertex map.
     """
-    s = canonical_vertex_set(S)
-    if s and (s[0] < 0 or s[-1] >= H.n):
-        raise InvalidVertex(f"{s} leaves the vertex range 0..{H.n - 1}")
+    s = _check_range(canonical_vertex_set(S), H.n)
     relabel = {v: i for i, v in enumerate(s)}
     members = set(s)
     edges = [
@@ -194,6 +197,8 @@ def is_gamma_extremal(
     mode peels maximum-degree vertices greedily and is sound only when it
     answers True.  gamma must be nonnegative.
     """
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}")
     gamma = Fraction(gamma)
     if gamma < 0:
         raise InvalidDimension("gamma must be nonnegative")
@@ -227,25 +232,23 @@ def is_gamma_extremal(
                 return ExtremalityVerdict(True, S, "exact", target)
         return ExtremalityVerdict(False, None, "exact", target)
 
-    if mode == "heuristic":
-        alive = set(range(H.n))
-        edges = [set(e) for e in H.edges]
-        while len(alive) > target:
-            deg = {v: 0 for v in alive}
-            for e in edges:
-                if e <= alive:
-                    for v in e:
-                        deg[v] += 1
-            # peel the busiest vertex; ties break on the lowest id
-            v_star = max(sorted(alive), key=lambda v: deg[v])
-            alive.discard(v_star)
-        S = tuple(sorted(alive))
-        count = sum(1 for e in edges if e <= alive)
-        if count <= max_edges:
-            return ExtremalityVerdict(True, S, "heuristic", target)
-        return ExtremalityVerdict(False, None, "heuristic", target)
-
-    raise ValueError(f"unknown mode {mode!r}")
+    # heuristic mode
+    alive = set(range(H.n))
+    edges = [set(e) for e in H.edges]
+    while len(alive) > target:
+        deg = {v: 0 for v in alive}
+        for e in edges:
+            if e <= alive:
+                for v in e:
+                    deg[v] += 1
+        # peel the busiest vertex; ties break on the lowest id
+        v_star = max(sorted(alive), key=lambda v: deg[v])
+        alive.discard(v_star)
+    S = tuple(sorted(alive))
+    count = sum(1 for e in edges if e <= alive)
+    if count <= max_edges:
+        return ExtremalityVerdict(True, S, "heuristic", target)
+    return ExtremalityVerdict(False, None, "heuristic", target)
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -288,7 +291,10 @@ def parse_kgraph(text: str) -> KGraph:
                 raise FormatError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "kgraph":
                 raise FormatError(f"line {lineno}: malformed problem line")
-            n, k = int(parts[2]), int(parts[3])
+            try:
+                n, k = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise FormatError(f"line {lineno}: non-integer n or k") from None
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before problem line")
@@ -314,7 +320,11 @@ def parse_kgraph(text: str) -> KGraph:
 
 def load_kgraph(path) -> KGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_kgraph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_kgraph(text)
 
 
 def save_kgraph(H: KGraph, path, comments: Sequence[str] = ()) -> None:

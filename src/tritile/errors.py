@@ -58,11 +58,8 @@ class FormatError(TritileError):
 
 
 class GenerationFailed(TritileError):
-    """Random generator exhausted its rounds; carries the codegree reached."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
+    """A generator cannot build what was asked: a codegree target above
+    n-k+1, or a blowup past its size guard."""
 
 
 class BudgetExceeded(TritileError):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Optional, Sequence
 
-from .core import KGraph, _mask, canonical_vertex_set, is_gamma_extremal
+from .core import KGraph, _check_range, _mask, canonical_vertex_set, is_gamma_extremal
 from .errors import (
     BudgetExceeded,
     DivisibilityError,
@@ -380,8 +380,8 @@ def corollary_check(
 ) -> CorollaryReport:
     """Check the (C1)/(C2) thresholds for a (2k-1)-graph J on A + B with
     |A| = (2k-3) n', |B| = 2 n'."""
-    A = canonical_vertex_set(A)
-    B = canonical_vertex_set(B)
+    A = _check_range(canonical_vertex_set(A), J.n)
+    B = _check_range(canonical_vertex_set(B), J.n)
     if J.k % 2 == 0 or J.k < 3:
         raise InvalidPartiteStructure(f"auxiliary graph must be (2k-1)-uniform, got {J.k}")
     k = (J.k + 1) // 2
@@ -463,8 +463,8 @@ def build_auxiliary_graph(
     supporting sets: more than ``cap`` raises BudgetExceeded with
     ``partial_count == cap + 1``.
     """
-    A = canonical_vertex_set(A)
-    B = canonical_vertex_set(B)
+    A = _check_range(canonical_vertex_set(A), H.n)
+    B = _check_range(canonical_vertex_set(B), H.n)
     index = _set_index(H, cap)
     b_mask = _mask(B)
     outside = ~(_mask(A) | b_mask)

@@ -196,6 +196,7 @@ class _Simplex:
         self.nrows = nrows
         self.m = len(block)
         self.block = block
+        self.R = len(block[0]) if block else 0  # rows per block column
         self.block_cost = block_cost
         self.packed = packed
         self.others = others
@@ -293,7 +294,7 @@ class _Simplex:
         The fields of ``_field_sums`` keep the columns' order, and when they
         are truncated, only the columns whose field is within R of the best
         one can be best, and those few are summed exactly."""
-        R = len(self.block[0])
+        R = self.R
         fields, lo, shift = _field_sums(yi, self.packed, self.m, R)
         best = max(fields) if minimize else min(fields)
         if not shift:
@@ -419,20 +420,6 @@ def _scale_to_integers(values: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _avoiding_sets(sets: SetList, B: KGraph) -> SetList:
-    pair_set = set(B.edges)
-    out = []
-    for vs, witness in sets:
-        if any(
-            (vs[i], vs[j]) in pair_set
-            for i in range(len(vs))
-            for j in range(i + 1, len(vs))
-        ):
-            continue
-        out.append((vs, witness))
-    return out
-
-
 def _set_columns(H: KGraph, sets: Optional[SetList] = None):
     """(rows, packed rows, witness) of the LP's set columns: the host's set
     index, or the given ``sets``.  ``rows[j]`` is column j's vertex tuple,
@@ -540,7 +527,12 @@ def b_avoiding_fractional_tiling(H: KGraph, B: KGraph):
     """
     if B.k != 2 or B.n != H.n:
         raise InvalidDimension("B must be a 2-uniform graph on V(H)")
-    sets = _avoiding_sets(supporting_sets(H), B)
+    pairs = list(map(_mask, B.edges))
+    sets = [
+        row
+        for row, m in zip(supporting_sets(H), _set_index(H).masks)
+        if all(m & p != p for p in pairs)
+    ]
     return perfect_fractional_tiling(H, sets=sets)
 
 

@@ -17,7 +17,7 @@ from math import comb
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
-from .core import KGraph, _mask, canonical_vertex_set
+from .core import KGraph, _check_range, _mask, canonical_vertex_set
 from .errors import (
     BudgetExceeded,
     EmptyGraph,
@@ -62,9 +62,7 @@ class VertexPartition:
 
 def index_vector(P: VertexPartition, S: Iterable[int]) -> tuple[int, ...]:
     """Blockwise intersection sizes of S."""
-    S = canonical_vertex_set(S)
-    if S and (S[0] < 0 or S[-1] >= P.n):
-        raise InvalidVertex(f"{S} leaves the partition's vertex range")
+    S = _check_range(canonical_vertex_set(S), P.n)
     out = [0] * P.r
     lookup = {}
     for i, b in enumerate(P.blocks):
@@ -226,6 +224,8 @@ def robust_vectors(
     the shrink of a not-robust vector's transversal number included, leaves
     the vector unknown.  beta must be nonnegative.
     """
+    if mode not in ("exact", "packing-bound"):
+        raise ValueError(f"unknown mode {mode!r}")
     beta = Fraction(beta)
     if beta < 0:
         raise InvalidDimension("beta must be nonnegative")
@@ -256,11 +256,8 @@ def robust_vectors(
                             value = limit
                             break
                     status = "not-robust"
-            elif mode == "packing-bound":
-                if _disjoint_rows(list(map(_mask_vertices, fam)), m + 1, budget) is not None:
-                    status, value = "robust", m + 1
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
+            elif _disjoint_rows(list(map(_mask_vertices, fam)), m + 1, budget) is not None:
+                status, value = "robust", m + 1
         except BudgetExceeded:
             status, value = UNKNOWN, 0
         out[vec] = RobustnessReport(vec, status, mode, value, m)
@@ -323,7 +320,7 @@ def perfectly_tilable(H: KGraph, vertices: Sequence[int], budget: int = 200_000)
         return False
     if len(vs) == 0:
         return True
-    _check_range(H, vs)
+    _check_range(vs, H.n)
     index = _set_index(H)
     if len(vs) == s:
         return index.contains(vs)
@@ -331,12 +328,6 @@ def perfectly_tilable(H: KGraph, vertices: Sequence[int], budget: int = 200_000)
     if not any(live.values()):
         return False
     return _CoverSearch(live, index.masks, budget).run() is not None
-
-
-def _check_range(H: KGraph, vs: Sequence[int]) -> None:
-    """Raise InvalidVertex unless the sorted ``vs`` lies in 0..n-1."""
-    if vs and (vs[0] < 0 or vs[-1] >= H.n):
-        raise InvalidVertex(f"{tuple(vs)} leaves the vertex range 0..{H.n - 1}")
 
 
 def _check_t(t: int) -> None:
@@ -387,7 +378,7 @@ def find_connector(
     _check_t(t)
     if u == v:
         raise InvalidVertex("connector endpoints must differ")
-    _check_range(H, sorted((u, v)))
+    _check_range(sorted((u, v)), H.n)
     return next(_connectors(H, u, v, t, set(forbidden) | {u, v}, budget), None)
 
 
@@ -414,7 +405,7 @@ def reachable(
     _check_t(t)
     if u == v:
         raise InvalidVertex("connector endpoints must differ")
-    _check_range(H, sorted((u, v)))
+    _check_range(sorted((u, v)), H.n)
     if mode == "certificate":
         used: set[int] = set()
         found = 0
@@ -474,7 +465,7 @@ def find_absorber(
     S = canonical_vertex_set(S)
     if len(S) != s:
         raise InvalidVertex(f"absorber target must have {s} vertices")
-    _check_range(H, S)
+    _check_range(S, H.n)
     sizes = range(s, s * s * t + 1, s)  # q(2k-1) for q = 1..(2k-1)t
     blocked = set(forbidden) | set(S)
     return next(_both_tilable(H, blocked, sizes, ((), S), budget, "absorber"), None)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import KGraph, _mask, canonical_vertex_set
+from .core import KGraph, _check_range, _mask, canonical_vertex_set
 from .errors import (
     BudgetExceeded,
     InvalidArity,
@@ -192,7 +192,9 @@ def enumerate_copies(
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    outside = 0 if restrict is None else ~_mask(canonical_vertex_set(restrict))
+    outside = 0
+    if restrict is not None:
+        outside = ~_mask(_check_range(canonical_vertex_set(restrict), H.n))
     # the walk's parts are sorted tuples already, so no copy needs re-sorting
     new = object.__new__
     set_base, set_apexes, set_tail = _COPY_SLOT_SETTERS
@@ -232,10 +234,10 @@ def supporting_sets(
     ``partial_count == cap + 1``, whether they were just enumerated or cached.
     """
     index = _set_index(H, cap)
-    sets = index.sets()
+    sets = zip(index.vertex_sets, map(index.witness, range(len(index))))
     if restrict is None:
         return list(sets)
-    outside = ~_mask(canonical_vertex_set(restrict))
+    outside = ~_mask(_check_range(canonical_vertex_set(restrict), H.n))
     return [row for row, m in zip(sets, index.masks) if not m & outside]
 
 
@@ -245,14 +247,14 @@ class _SetIndex:
     Row r is the set of mask ``masks[r]``.  The masks, and the build
     pass's map from each mask to the base of its least witness, are all
     that is built for every row up front.  A row's vertex tuple
-    (``index[r]``) and least witness (``witness(r)``) are built on first
-    read and kept, so a solver builds only those its answer names and every
-    caller gets the same objects.  The per-vertex row bitsets are built on
-    first use, so a host whose questions the LP settles never pays for
-    them.
+    (``index[r]``) is decoded from its mask on every read and not kept.  Its
+    least witness (``witness(r)``) is built on first read and kept, so a
+    solver builds only those its answer names and every caller gets the
+    same objects.  The per-vertex row bitsets are built on first use, so a
+    host whose questions the LP settles never pays for them.
     """
 
-    __slots__ = ("n", "masks", "_first", "_tuples", "_witnesses", "_tails", "_sets", "_bits")
+    __slots__ = ("n", "masks", "_first", "_witnesses", "_tails", "_bits")
 
     def __init__(self, H: KGraph, cap: int):
         # One pass per base, in sorted base order: a spine edge misses the
@@ -303,28 +305,21 @@ class _SetIndex:
         # mask; a row's spine edge is its mask without the base mask
         self._first = first
         self.n = H.n
-        self._tuples: Optional[list[Optional[tuple[int, ...]]]] = None
         self._witnesses: Optional[list[Optional[TriangleCopy]]] = None
         self._tails: dict[int, tuple[int, ...]] = {}  # shared by the witnesses
-        self._sets: Optional[list[tuple[tuple[int, ...], TriangleCopy]]] = None
         self._bits: Optional[dict[int, int]] = None
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def __getitem__(self, r: int) -> tuple[int, ...]:
-        """The vertex tuple of row r, decoded on first read and kept."""
-        if self._tuples is None:
-            self._tuples = [None] * len(self.masks)
-        vs = self._tuples[r]
-        if vs is None:
-            vs = self._tuples[r] = _mask_vertices(self.masks[r])
-        return vs
+        """The vertex tuple of row r, decoded from its mask on each read."""
+        return _mask_vertices(self.masks[r])
 
     @property
     def vertex_sets(self) -> list[tuple[int, ...]]:
-        """Every row's vertex tuple, in row order."""
-        return list(map(self.__getitem__, range(len(self.masks))))
+        """Every row's vertex tuple, in row order, decoded afresh."""
+        return list(map(_mask_vertices, self.masks))
 
     def witness(self, r: int) -> TriangleCopy:
         """The least witness of row r, built on first read and kept: the
@@ -351,13 +346,6 @@ class _SetIndex:
             set_apexes(copy, (a.bit_length() - 1, b.bit_length() - 1))
             set_tail(copy, tail)
         return copy
-
-    def sets(self) -> list[tuple[tuple[int, ...], TriangleCopy]]:
-        """Every row as (vertex set, least witness), built on first use and
-        kept.  Callers must not mutate the list."""
-        if self._sets is None:
-            self._sets = list(zip(self.vertex_sets, map(self.witness, range(len(self.masks)))))
-        return self._sets
 
     def vertex_bits(self) -> dict[int, int]:
         """Every vertex's row bitset, vertices ascending: bit r is set when

@@ -1,8 +1,14 @@
 import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import tritile
 
 from tritile import cli, lattice
 from tritile.cli import main, parse_blocks, parse_rational, parse_vertices, run, UsageError
@@ -399,6 +405,42 @@ def test_reach_out_of_range_endpoint_exits_1(tmp_path, capsys):
     assert main(["reach", str(inst), "--u", "0", "--v", "9", "--m", "0"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: (0, 9) leaves the vertex range 0..4"]
+
+
+_K5_TEXT = b"p kgraph 5 3\n" + b"".join(
+    b"e %d %d %d\n" % e for e in itertools.combinations(range(5), 3)
+)
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({"h.kg": b"p kgraph 5 x\n"}, ["info", "h.kg"]),
+        ({"h.kg": b"p kgraph 5.0 3\n"}, ["info", "h.kg"]),
+        ({"h.kg": b"p kgraph 5 3\nc \xff\n"}, ["info", "h.kg"]),
+        ({"m.jsonl": b'{"args": ["info", "\xff"]}\n'}, ["batch", "m.jsonl"]),
+        ({"r.txt": b"\xfe.kg\n"}, ["rainbow", "r.txt"]),
+        ({"r.txt": b"h.kg\n", "h.kg": b"p kgraph 5 3\nc \xff\n"}, ["rainbow", "r.txt"]),
+        ({"h.kg": _K5_TEXT}, ["reach", "h.kg", "--u", "-1", "--v", "2", "--m", "0"]),
+    ],
+    ids=[
+        "non-integer-n", "float-n", "instance-not-utf8", "batch-manifest-not-utf8",
+        "rainbow-manifest-not-utf8", "rainbow-host-not-utf8", "negative-endpoint",
+    ],
+)
+def test_bad_input_exits_1_with_one_error_line(tmp_path, files, argv):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    src = str(Path(tritile.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tritile.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_reach_equal_endpoints_exits_1(tmp_path, capsys):

@@ -171,18 +171,21 @@ PINS = {
     'error:gen-random-needs-seed': '0d246756f1dfc86b586333d561b302f47f70e285434e713531a1f4810888b866',
     'error:missing-argument': '8539af754716ff4cdd0ae41c86d29227320a28098e775e39f4cf05c78bba26de',
     'error:unknown-command': '0724bcb6eafa1957cb1c8c4f9bb2f3a5a7491020fb6c606d4b855db477b503a7',
+    # The gen reports and help screen were re-pinned when --max-rounds
+    # was removed: each report's config echo lost its max_rounds key, and
+    # the written instance and .meta.json digests are unchanged.
     'gen:complete': (
-        '6a533c6fa2610f71473a2a823b9787c4e88043b863abe2ed9528fd55c582a4cb',
+        'e07a9e142168de48c476b2ce0f579a7c110dd7b293a5c453767a0ce160671081',
         '6efc4cf4cfbe80e020f6ce0fc9474b333af3d9441317acab589a6dc91b0ed7aa',
         'c92b72e56076f2e491cfc66b88f1c61017c48e89884859686000f373bf8e9845',
     ),
     'gen:extremal': (
-        'a85e119ab07b4f7c65fdecfe0f82dad1d26169b7e6179aa6b25cfbbbc6feffa2',
+        'ea5644f534cab9c1fa440bc71688d2196768b2564b16e0480a7c669b85d13dce',
         'eb81f7da0e38c216771d07b80fd6c26d66b23f03d48318613ad7c1eb615b4bdd',
         '523ff08d7b6c95042acacb78c28ffdfcc1bf605d4f6f5bc419ad80114d83941a',
     ),
     'gen:random': (
-        'bed10cc66192677107d55b4e273d2af9231fec5e1d7e56a5cf2d9b00810b47cf',
+        'fe20f19aa1b756a5c3f9688cceda71276c1833c60783afd7f926dfef296e3d4b',
         '8e033ab845419e33616a0f5f70453695b9394eda91600a7a4378c1856e6da79e',
         '8b9560275ae0ef99e8bd1299f79794849830dddc36e9d01922c6c39d048eb0aa',
     ),
@@ -192,7 +195,7 @@ PINS = {
     'help:dh-check': '6a5cd2d075fc70606fd9fc96f9944a65caf81da6c01a8f794580f6b8f1c3bfee',
     'help:farkas': 'f64b1b34fce655e1889b4f16bd3bdb21023e3798036484d4754db7da44fd6388',
     'help:fractile': '9585461652735e2f95003739277d5d1f9df8f0ec7e0a9e3a3c77be14f1723870',
-    'help:gen': 'f8c8d9f89455982bb032d6a07e668140f44f2505e18483f61d28954273fd802b',
+    'help:gen': 'cf83a57a1b359de994bd8619ff188eefe95da0bb5e28d3cd3656bef8ab73d001',
     'help:info': 'af2eb7ba732e265b90366fd0c1f8e2830c3bb5e228748deb08a21b5e7cb11d9a',
     'help:lattice': '915c8001124f504c57870246669aa97d8a86d40862430750702a21c113d27534',
     'help:minmax': '8eddb242e3804c0cf1ec451de783314d9093195ea84e2201147fcf5429271f1c',
@@ -215,7 +218,7 @@ PINS = {
     'report:farkas-yes': '4df3e24ecd19e7947fb97cb1a338fc73a0b3acf2dd5f2cef833de3cf8b43bf72',
     'report:fractile-no': '6e47cc57ff715e0791c60749477508824c5f9501285f4a9cd9052b6ada1923cd',
     'report:fractile-yes': 'c22f83d442544343402c7d4cdfa98bca8913d1b22ffd45cfc84142a3d90af845',
-    'report:gen-stdout': 'bf7582f121e34970a9b7d3f21b72b3f117ef9b50d008f3d2d787529589f232c5',
+    'report:gen-stdout': '8bb2f019a759a36da70ef07b5b7b224205ceb5e4dde3685dd50cb2ca4a6b7051',
     'report:info': 'ff0d959aa645b2f9fc0b9d124cb4e1d1a95f01c5be69d006e11cee2e276a34f0',
     'report:lattice-no': '08a5e7a25b873635329117bdea726ccb0400735d6562aaa0c72ccae998f32e1e',
     'report:lattice-packing': 'ac69c925ca4d1b3f6160de151a611cfe101d2820932e53c42093b86d091c61bc',

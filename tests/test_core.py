@@ -13,6 +13,7 @@ from tritile.core import (
     format_kgraph,
     induced,
     is_gamma_extremal,
+    load_kgraph,
     min_codegree,
     parse_kgraph,
 )
@@ -24,6 +25,10 @@ from tritile.errors import (
     InvalidVertex,
     TooFewVertices,
 )
+
+from tritile.exact import build_auxiliary_graph, corollary_check
+from tritile.lattice import VertexPartition, index_vector
+from tritile.patterns import enumerate_copies, supporting_sets
 
 from oracles import oracle_gamma_extremal
 
@@ -187,3 +192,50 @@ def test_format_rejects_duplicate_edges():
 def test_format_rejects_unsorted_edge():
     with pytest.raises(FormatError):
         parse_kgraph("p kgraph 4 3\ne 2 1 0\n")
+
+
+def test_gamma_extremal_rejects_an_unknown_mode_below_k():
+    # The witness target 0 lies below k, which answers before any search.
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        is_gamma_extremal(KGraph(3, 3, []), 0, mode="bogus")
+
+
+@pytest.mark.parametrize("text", ["p kgraph 5 x\n", "p kgraph 5.0 3\n"])
+def test_format_rejects_non_integer_sizes(text):
+    with pytest.raises(FormatError, match="line 1: non-integer n or k"):
+        parse_kgraph(text)
+
+
+def test_load_rejects_non_utf8_text(tmp_path):
+    path = tmp_path / "h.kg"
+    path.write_bytes(b"p kgraph 5 3\nc \xff\n")
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        load_kgraph(path)
+
+
+_K7 = complete_kgraph(7, 3)
+_AUX = KGraph(7, 5, [(0, 1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda vs: induced(_K7, vs),
+        lambda vs: _K7.codegree((vs[0], vs[-1])),
+        lambda vs: supporting_sets(_K7, restrict=vs),
+        lambda vs: enumerate_copies(_K7, restrict=vs),
+        lambda vs: build_auxiliary_graph(_K7, vs, (5, 6)),
+        lambda vs: build_auxiliary_graph(_K7, (0, 1, 2), vs),
+        lambda vs: corollary_check(_AUX, vs, (5, 6), Fraction(0)),
+        lambda vs: corollary_check(_AUX, (0, 1, 2), vs, Fraction(0)),
+        lambda vs: index_vector(VertexPartition((tuple(range(7)),)), vs),
+    ],
+    ids=[
+        "induced", "codegree", "supporting_sets", "enumerate_copies",
+        "auxiliary-A", "auxiliary-B", "corollary-A", "corollary-B", "index_vector",
+    ],
+)
+@pytest.mark.parametrize("vs", [(-1, 0, 1), (0, 1, 7)], ids=["negative", "too-large"])
+def test_vertices_outside_the_range_raise_invalid_vertex(call, vs):
+    with pytest.raises(InvalidVertex, match=r"leaves the vertex range 0\.\.6"):
+        call(vs)

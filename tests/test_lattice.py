@@ -132,6 +132,14 @@ def test_robust_vectors_partition_must_cover_the_sets():
         robust_vectors(complete_kgraph(6, 3), P, Fraction(1, 6))
 
 
+def test_robust_vectors_rejects_an_unknown_mode_with_no_sets():
+    # With no supporting set there is no vector to decide, so the mode must be
+    # checked before the per-vector loop.
+    P = VertexPartition((tuple(range(5)),))
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        robust_vectors(KGraph(5, 3, []), P, Fraction(0), mode="bogus")
+
+
 @pytest.mark.parametrize("mode", ["exact", "packing-bound"])
 def test_negative_beta_is_rejected(mode):
     # No set W of negative size exists, so a negative beta has no meaning;

@@ -410,7 +410,7 @@ def test_supporting_set_index_pins(name):
 
 
 def _witnesses_built(H: KGraph) -> bool:
-    return H._sets._sets is not None
+    return H._sets._witnesses is not None
 
 
 def test_index_readers_build_no_witnesses_and_answers_share_them():

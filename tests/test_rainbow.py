@@ -288,6 +288,37 @@ def test_rainbow_host_serving_no_copy_rules_out():
     assert rainbow_perfect_tiling(scarce) is None
 
 
+def _servable_family() -> GraphFamily:
+    # Each pair of 3..9 is joined to at most one of 0, 1, 2, and no other
+    # edge holds two of them, so the edge {0,1,2} lies in no copy.
+    rng = random.Random(0)
+    rest = range(3, 10)
+    edges = [t for t in itertools.combinations(rest, 3) if rng.random() < 0.7]
+    for x, y in itertools.combinations(rest, 2):
+        joined = rng.choice([0, 1, 2, None, None])
+        if joined is not None:
+            edges.append((joined, x, y))
+    return GraphFamily((KGraph(10, 3, edges),) * 5 + (KGraph(10, 3, [(0, 1, 2)]),))
+
+
+def test_rainbow_host_serving_no_usable_copy_rules_out_before_search(monkeypatch):
+    # The one-edge host passes the distinct-edges check, and the union has a
+    # perfect tiling, so only the servable check rules the family out: the
+    # union's tiling is the one cover search that runs.
+    searches = []
+    inner = tritile.exact._CoverSearch
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return inner(*args, **kwargs)
+
+    family = _servable_family()
+    assert tritile.exact.perfect_tiling(family.union()) is not None
+    monkeypatch.setattr(tritile.exact, "_CoverSearch", counting)
+    assert rainbow_perfect_tiling(family) is None
+    assert len(searches) == 1
+
+
 def test_rainbow_consistent_with_union_tiling(small_corpus):
     for _, H in small_corpus[:6]:
         if H.n % 5 != 0:
