@@ -231,7 +231,9 @@ def _decide_perfect_tiling(
 
     Returns ``(tiling, None, None)`` on success, ``(None, "farkas",
     certificate)`` when the fractional relaxation is infeasible, and
-    ``(None, "divisibility" | "cover", None)`` otherwise.
+    ``(None, "divisibility" | "cover", None)`` otherwise.  A host with no
+    supporting set has an infeasible relaxation, so with the LP it gets a
+    certificate (-1 on every vertex); without it, "cover" with no search.
     """
     s = 2 * H.k - 1
     if H.n % s != 0:
@@ -239,12 +241,12 @@ def _decide_perfect_tiling(
     if H.n == 0:
         return Tiling((), 0), None, None
     index = _set_index(H)
-    if not index.masks:
-        return None, "cover", None
     if use_lp:
         verdict = _fractional_verdict(H.n, _set_columns(H))
         if isinstance(verdict, FarkasCertificate):
             return None, "farkas", verdict
+    if not index.masks:
+        return None, "cover", None
     rows = _CoverSearch(index.vertex_bits(), index.masks, budget).run()
     if rows is None:
         return None, "cover", None

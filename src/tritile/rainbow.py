@@ -8,16 +8,17 @@ hosts after the fact fails on adversarial families.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
-from typing import Optional
+from operator import and_, itemgetter, or_
+from typing import Callable, Optional
 
 from . import exact
 from .core import KGraph, _mask
 from .errors import BudgetExceeded, InvalidFamily
-from .patterns import TriangleCopy, Tiling, _copies, _mask_vertices
+from .patterns import TriangleCopy, Tiling, _copies
 
 
 @dataclass(frozen=True)
@@ -150,10 +151,10 @@ def rainbow_perfect_tiling(
     edges is ruled out first, without search.  Each union edge, keyed by its
     vertex mask, carries the bitmask of the hosts containing it.  The rows
     are the usable copies in a compact table (``_usable_rows``): one
-    (base, base mask, a, b, x, y) tuple per base and apex pair, and per row
-    only its spine's edge mask; the search reads a row's vertex mask, and
-    the matching prune its slot hosts, back from the table, and only the
-    chosen copies become ``TriangleCopy`` objects.
+    (base number, a, b) entry per base and apex pair, and per row only its
+    tail vertices as bytes; the search reads a row's vertex mask, and the
+    matching prune its slot hosts, back from the table, and only the chosen
+    copies become ``TriangleCopy`` objects.
     """
     n, k = family.n, family.k
     s = 2 * k - 1
@@ -173,6 +174,7 @@ def rainbow_perfect_tiling(
     # that decision is much cheaper (it has a fractional prefilter).
     if exact.perfect_tiling(union, budget=budget) is None:
         return None
+    union._sets = None  # the rows below need no set index (16 MiB at n = 30)
 
     edge_hosts: dict[int, int] = {}  # edge vertex mask -> host bitmask
     for i, h in enumerate(family.hosts):
@@ -208,55 +210,101 @@ def rainbow_perfect_tiling(
     return RainbowTiling(Tiling(chosen_copies, n), tuple(assignment))
 
 
-_Group = tuple[tuple[int, ...], int, int, int, int, int]  # (base, bm, a, b, x, y)
-
-
 class _RowTable:
     """The usable rows, in canonical copy order, as a read-only sequence of
     row vertex masks.
 
-    The rows of one base and apex pair form a group: ``groups[g]`` is
-    (base, base mask, a, b, x, y), x and y being the host bitmasks of the
-    base edges through a and b, and its rows run from ``starts[g]`` to the
-    next group's start.  A row keeps only its spine's edge mask
-    (``spines[r]``); its vertex mask, tail and spine hosts are read back on
-    demand.
+    The rows of one base and apex pair form a group: ``groups[3 g:3 g + 3]``
+    is (base number, a, b), ``bases[base number]`` is (base, base mask),
+    and its rows run from ``starts[g]`` to ``starts[g + 1]``; the last start
+    is the row count.  A row keeps only its k-2 tail vertices, each as
+    ``digits`` little-endian base-256 bytes, in ``tails`` from byte
+    ``r * width``.  Its spine is its tail plus a and b, and its vertex mask,
+    copy and slot hosts (the base edges' and the spine's, from
+    ``edge_hosts``) are read back on demand.
     """
 
-    __slots__ = ("groups", "starts", "spines", "edge_hosts")
+    __slots__ = ("bases", "groups", "starts", "tails", "digits", "edge_hosts")
 
     def __init__(
         self,
-        groups: list[_Group],
-        starts: list[int],
-        spines: list[int],
+        bases: list[tuple[tuple[int, ...], int]],
+        groups: array,
+        starts: array,
+        tails: bytearray,
+        digits: int,
         edge_hosts: dict[int, int],
     ):
+        self.bases = bases
         self.groups = groups
         self.starts = starts
-        self.spines = spines
+        self.tails = tails
+        self.digits = digits
         self.edge_hosts = edge_hosts
 
     def __len__(self) -> int:
-        return len(self.spines)
+        return self.starts[-1]
 
-    def group(self, r: int) -> _Group:
-        return self.groups[bisect_right(self.starts, r) - 1]
+    def _row(self, r: int) -> tuple[tuple[int, ...], int, int, int, tuple[int, ...]]:
+        """Row r as (base, base mask, a, b, tail)."""
+        g = 3 * (bisect_right(self.starts, r) - 1)
+        number, a, b = self.groups[g:g + 3]
+        base, bm = self.bases[number]
+        d = self.digits
+        width = (len(base) - 1) * d
+        code = self.tails[r * width:(r + 1) * width]
+        tail = tuple(int.from_bytes(code[i:i + d], "little") for i in range(0, width, d))
+        return base, bm, a, b, tail
 
     def __getitem__(self, r: int) -> int:
-        return self.group(r)[1] | self.spines[r]
+        _, bm, a, b, tail = self._row(r)
+        return bm | 1 << a | 1 << b | _mask(tail)
 
     def copy(self, r: int) -> TriangleCopy:
-        base, _, a, b, _, _ = self.group(r)
-        return TriangleCopy(base, (a, b), _mask_vertices(self.spines[r] ^ 1 << a ^ 1 << b))
+        base, _, a, b, tail = self._row(r)
+        return TriangleCopy(base, (a, b), tail)
 
     def slot_hosts(self, rows: list[int]) -> list[int]:
         """The host bitmasks of the rows' slots, copy by copy in slot order."""
+        edge_hosts = self.edge_hosts
         out = []
         for r in rows:
-            _, _, _, _, x, y = self.group(r)
-            out += (x, y, self.edge_hosts[self.spines[r]])
+            _, bm, a, b, tail = self._row(r)
+            spine = 1 << a | 1 << b | _mask(tail)
+            out += (edge_hosts[bm | 1 << a], edge_hosts[bm | 1 << b], edge_hosts[spine])
         return out
+
+
+# ``_MATCH[c]`` translates the byte c to b"1" and every other byte to b"0".
+_MATCH = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(256)]
+
+
+def _fold_flags(op: Callable[[int, int], int], flags: list[bytearray]) -> bytearray:
+    """Fold b"0"/b"1" flag columns of one length byte by byte with the
+    bitwise ``op``: the flags are the codes 0x30 and 0x31, so and-ing or
+    or-ing the codes and-s or or-s the flags."""
+    out = flags[0]
+    for f in flags[1:]:
+        both = op(int.from_bytes(out, "little"), int.from_bytes(f, "little"))
+        out = bytearray(both.to_bytes(len(f), "little"))
+    return out
+
+
+def _spine_pair(
+    spines: list[tuple[tuple[int, ...], int]], edge_hosts: dict[int, int], digits: int
+) -> tuple[bytes, dict[int, int], list[tuple[int, int]], list[int]]:
+    """What every group of one apex pair reads of the pair's spines, spine i
+    as bit i: the spines' tail bytes, end to end; for each tail vertex, the
+    spines holding it; (bit, host mask) of each spine with at most two
+    hosts; and each spine's host mask."""
+    meets: dict[int, int] = {}
+    for i, (tail, _) in enumerate(spines):
+        for v in tail:
+            meets[v] = meets.get(v, 0) | 1 << i
+    hosts = [edge_hosts[em] for _, em in spines]
+    few = [(1 << i, z) for i, z in enumerate(hosts) if z.bit_count() < 3]
+    tails = b"".join(v.to_bytes(digits, "little") for tail, _ in spines for v in tail)
+    return tails, meets, few, hosts
 
 
 def _usable_rows(
@@ -267,64 +315,98 @@ def _usable_rows(
 
     A copy is usable iff its three edge slots can take distinct hosts.  Rows
     follow ``_copies``, which hands every base the same spine list for an
-    apex pair (a, b), so the spines' host masks are looked up once per pair.
-    Hall's test of a spine runs only when it has at most two hosts: once the
-    base slots pass ``_hall_pair``, a spine with three or more hosts meets
-    every Hall inequality.  Each vertex's bitset is read from its flags,
-    flags[v][r] == ord("1") when row r holds v: a base's rows, an apex a's
-    and a group's come out consecutively, so the base, a and b are flagged
-    with one slice each and only the tail row by row.
+    apex pair (a, b), so what the groups read of the spines is made once
+    per pair (``_spine_pair``).  A group drops, as one bitmask over the
+    pair's spines, those that meet its base and those that fail Hall's
+    test, which runs only on a spine with at most two hosts: once the base
+    slots pass ``_hall_pair``, a spine with three or more hosts meets every
+    Hall inequality.  The group's rows are then its kept spines' tail bytes,
+    copied in runs between the dropped spines.  A base's rows, an apex a's
+    and a group's come out consecutively, so the build records them as
+    (start, end) ranges of the vertex.  Each vertex's bitset is then written
+    as one b"0"/b"1" flag per row, one vertex at a time: its tail rows by
+    one ``bytes.translate`` of each column of tail bytes (and-ed over a
+    vertex's digits, or-ed over the tail slots), its ranges by one slice
+    each, and the flags are read base 2.
     """
     n = union.n
-    groups: list[_Group] = []
-    starts: list[int] = []
-    spines_out: list[int] = []
-    flags = [bytearray() for _ in range(n)]
-    hosted: dict[tuple[int, int], list[tuple[tuple[int, ...], int, int, bool]]] = {}
+    digits = max(1, ((n - 1).bit_length() + 7) // 8)
+    width = (union.k - 2) * digits  # tail bytes per row
+    bases: list[tuple[tuple[int, ...], int]] = []
+    groups = array("I")
+    starts = array("Q")
+    tails = bytearray()
+    ranges = [array("Q") for _ in range(n)]  # per vertex: start, end, start, end, ...
+    pairs: dict[tuple[int, int], tuple] = {}
+    kept: dict[tuple[int, int], int] = {}  # the spines of a pair that some row keeps
     servable = 0
+    r = 0
     for (base, bm), base_groups in groupby(_copies(union), itemgetter(0, 1)):
-        base_start = len(spines_out)
+        base_start = r
         for a, a_groups in groupby(base_groups, itemgetter(2)):
             x = edge_hosts[bm | 1 << a]
-            a_start = len(spines_out)
+            a_start = r
             for _, _, _, b, spines in a_groups:
                 y = edge_hosts[bm | 1 << b]
                 if not _hall_pair(x, y):
                     continue
-                spine_hosts = hosted.get((a, b))
-                if spine_hosts is None:
-                    spine_hosts = hosted[a, b] = [
-                        (tail, em, z, z.bit_count() < 3)
-                        for tail, em in spines
-                        for z in (edge_hosts[em],)
-                    ]
-                start = r = len(spines_out)
-                room = start + len(spines)
-                if room > len(flags[0]):
-                    for f in flags:
-                        f += b"0" * (max(room, 2 * len(f)) - len(f))
+                pair = pairs.get((a, b))
+                if pair is None:
+                    pair = pairs[a, b] = _spine_pair(spines, edge_hosts, digits)
+                pair_tails, meets, few, _ = pair
+                drop = 0
+                for v in base:
+                    drop |= meets.get(v, 0)
                 xy = x | y
-                for tail, em, z, few in spine_hosts:
-                    if em & bm or few and not _hall_spine(x, y, xy, z):
-                        continue
-                    for v in tail:
-                        flags[v][r] = 49
-                    spines_out.append(em)
-                    servable |= z
-                    r += 1
-                if r > start:
-                    groups.append((base, bm, a, b, x, y))
-                    starts.append(start)
-                    flags[b][start:r] = b"1" * (r - start)
-                    servable |= xy
-            end = len(spines_out)
-            flags[a][a_start:end] = b"1" * (end - a_start)
-        end = len(spines_out)
-        for v in base:
-            flags[v][base_start:end] = b"1" * (end - base_start)
-    rows_end = len(spines_out)
-    live = {v: int(f[:rows_end][::-1] or b"0", 2) for v, f in enumerate(flags)}
-    return _RowTable(groups, starts, spines_out, edge_hosts), live, servable
+                for bit, z in few:
+                    if not _hall_spine(x, y, xy, z):
+                        drop |= bit
+                keep = (1 << len(spines)) - 1 & ~drop
+                if not keep:
+                    continue
+                kept[a, b] = kept.get((a, b), 0) | keep
+                start = r
+                r += keep.bit_count()
+                groups.extend((len(bases), a, b))
+                starts.append(start)
+                ranges[b].extend((start, r))
+                at = 0
+                while drop:
+                    low = drop & -drop
+                    drop ^= low
+                    i = low.bit_length() - 1
+                    tails += pair_tails[at * width:i * width]
+                    at = i + 1
+                tails += pair_tails[at * width:]
+                servable |= xy
+            if r > a_start:
+                ranges[a].extend((a_start, r))
+        if r > base_start:
+            bases.append((base, bm))
+            for v in base:
+                ranges[v].extend((base_start, r))
+    starts.append(r)
+    for pair, keep in kept.items():
+        for i, z in enumerate(pairs[pair][3]):
+            if keep >> i & 1:
+                servable |= z
+
+    # The flags run from the last row to the first, so that they read base 2.
+    columns = [tails[i::width][::-1] for i in range(width)]
+    live = {}
+    for v in range(n):
+        want = v.to_bytes(digits, "little")
+        slots = [
+            _fold_flags(and_, [columns[j + i].translate(_MATCH[c]) for i, c in enumerate(want)])
+            for j in range(0, width, digits)
+        ]
+        flags = _fold_flags(or_, slots) if slots else bytearray(b"0" * r)
+        spans = ranges[v]
+        for i in range(0, len(spans), 2):
+            s, e = spans[i], spans[i + 1]
+            flags[r - e:r - s] = b"1" * (e - s)
+        live[v] = int(flags, 2) if r else 0
+    return _RowTable(bases, groups, starts, tails, digits, edge_hosts), live, servable
 
 
 @dataclass(frozen=True)

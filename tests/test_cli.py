@@ -82,6 +82,25 @@ def test_tile_reason_farkas(tmp_path):
     assert "certificate" not in report
 
 
+def test_tile_reason_farkas_without_sets(tmp_path):
+    # A host with no supporting set gets the LP's certificate, which the
+    # independent validator accepts; without the LP it is "cover", decided
+    # with no search, so even a zero budget answers.
+    from tritile.fractional import FarkasCertificate
+    from tritile.validate import check_certificate
+
+    H = KGraph(10, 3, [])
+    out = tmp_path / "empty.kg"
+    save_kgraph(H, out)
+    report, code = run(["tile", str(out)])
+    assert (code, report["verdict"], report["reason"]) == (0, "decided-no", "farkas")
+    assert report["certificate"]["coeffs"] == [-1] * 10
+    assert check_certificate(H, FarkasCertificate(tuple(report["certificate"]["coeffs"])))
+    report, code = run(["tile", str(out), "--no-lp", "--budget", "0"])
+    assert (code, report["verdict"], report["reason"]) == (0, "decided-no", "cover")
+    assert "certificate" not in report
+
+
 def test_tile_reason_cover(tmp_path):
     # Fractionally tilable (the LP is feasible), but no two of its
     # supporting sets are disjoint, so only the cover search can say no.

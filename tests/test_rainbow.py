@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 import functools
 import operator
 from functools import partial
@@ -180,10 +181,14 @@ def _perfbench_family(seed: int, f: int) -> GraphFamily:
     return GraphFamily(tuple(hosts))
 
 
-def _sampled_family(n: int, k: int, seed: int, p_union: float, p_keep: float) -> GraphFamily:
-    """3n/(2k-1) hosts, each keeping edges of one seeded random union."""
+def _sampled_family(
+    n: int, k: int, seed: int, p_union: float, p_keep: float, vertices: range | None = None
+) -> GraphFamily:
+    """3n/(2k-1) hosts, each keeping edges of one seeded random union on
+    ``vertices`` (all n by default)."""
     rng = random.Random(seed)
-    union = [e for e in itertools.combinations(range(n), k) if rng.random() < p_union]
+    vertices = range(n) if vertices is None else vertices
+    union = [e for e in itertools.combinations(vertices, k) if rng.random() < p_union]
     return GraphFamily(
         tuple(
             KGraph(n, k, [e for e in union if rng.random() < p_keep])
@@ -192,18 +197,32 @@ def _sampled_family(n: int, k: int, seed: int, p_union: float, p_keep: float) ->
     )
 
 
-@pytest.mark.parametrize(
-    "n,k,seed,p_union,p_keep",
-    [(12, 2, 0, 0.8, 0.15), (10, 3, 5, 0.8, 0.3), (10, 3, 7, 0.9, 0.8), (14, 4, 1, 0.2, 0.5)],
-    ids=["k2-sparse", "k3-sparse", "k3-dense", "k4-sparse"],
-)
-def test_row_table_equals_filtered_copies(n, k, seed, p_union, p_keep):
-    family = _sampled_family(n, k, seed, p_union, p_keep)
-    union = family.union()
+def _edge_hosts(family: GraphFamily) -> dict[int, int]:
+    """Each union edge's vertex mask with the bitmask of its hosts."""
     edge_hosts = {}
     for i, h in enumerate(family.hosts):
         for e in h.edges:
             edge_hosts[_mask(e)] = edge_hosts.get(_mask(e), 0) | 1 << i
+    return edge_hosts
+
+
+@pytest.mark.parametrize(
+    "n,k,seed,p_union,p_keep,vertices",
+    [
+        (12, 2, 0, 0.8, 0.15, None),
+        (10, 3, 5, 0.8, 0.3, None),
+        (10, 3, 7, 0.9, 0.8, None),
+        (14, 4, 1, 0.2, 0.5, None),
+        # vertex numbers past one byte: the table keeps two bytes a vertex
+        (300, 3, 1, 0.9, 0.01, range(250, 260)),
+        (300, 4, 1, 0.9, 0.01, range(250, 259)),
+    ],
+    ids=["k2-sparse", "k3-sparse", "k3-dense", "k4-sparse", "k3-wide", "k4-wide"],
+)
+def test_row_table_equals_filtered_copies(n, k, seed, p_union, p_keep, vertices):
+    family = _sampled_family(n, k, seed, p_union, p_keep, vertices)
+    union = family.union()
+    edge_hosts = _edge_hosts(family)
     copies = enumerate_copies(union)
     want = []
     for c in copies:
@@ -214,7 +233,11 @@ def test_row_table_equals_filtered_copies(n, k, seed, p_union, p_keep):
     rows = range(len(table))
     assert [(table.copy(r), table.slot_hosts([r])) for r in rows] == want
     assert [table[r] for r in rows] == [_mask(c.vertices) for c, _ in want]
-    assert live == {v: sum(1 << r for r in rows if table[r] >> v & 1) for v in range(n)}
+    holders = dict.fromkeys(range(n), 0)
+    for r, (c, _) in enumerate(want):
+        for v in c.vertices:
+            holders[v] |= 1 << r
+    assert live == holders
     assert servable == functools.reduce(operator.or_, (h for _, s in want for h in s), 0)
     if p_keep < 0.5:  # Hall's test ran on some spine, and some copy is unusable
         assert any(s[2].bit_count() <= 2 for _, s in want)
@@ -252,6 +275,23 @@ def test_rainbow_answer_and_node_count_pins(name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     with pytest.raises(BudgetExceeded):
         rainbow_perfect_tiling(family, budget=nodes - 1)
+
+
+def test_row_table_build_stays_small():
+    # The table keeps per row only its tail bytes, and the live bitsets are
+    # written one vertex at a time: 0.9 MiB at the build's peak here, where
+    # a flag byte per row per vertex took 3.7 to 3.9 MiB.
+    family = RAINBOW_FAMILIES["perfbench-s0-f0"]()
+    union = family.union()
+    edge_hosts = _edge_hosts(family)
+    tracemalloc.start()
+    try:
+        table, _, _ = _usable_rows(union, edge_hosts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 88885
+    assert peak < 2 * 2**20
 
 
 def test_rainbow_looks_up_union_tiling_at_call_time(monkeypatch):
