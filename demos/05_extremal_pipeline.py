@@ -3,8 +3,10 @@
 Given a sparse witness set, the pipeline classifies its (k-1)-sets as good
 or bad, isolates the poorly attached vertices X, covers them through a
 matching and one copy each, builds the auxiliary (2k-1)-graph on the residue,
-checks its density thresholds, and finishes with a perfect matching there.
-Any stage may fail honestly on small hosts; the report says which one.
+checks its density thresholds, and finishes with a perfect matching there,
+which the matching's LP relaxation can rule out before any search.  Without
+a given witness, the first sparse set is found by a pruned search.  Any
+stage may fail honestly on small hosts; the report says which one.
 """
 
 import itertools
@@ -27,6 +29,12 @@ show("complete host on 15 vertices (gamma = 1, vacuous witness)",
 
 show("tight instance (3, 15): must fail, no perfect tiling exists",
      extremal_pipeline(extremal_construction(3, 15).graph, Fraction(0)))
+
+ext30 = extremal_construction(3, 30).graph
+show("tight instance (3, 30), gamma = 0: the witness search finds B's first 18",
+     extremal_pipeline(ext30, Fraction(0)))
+show("tight instance (3, 30), gamma = 1: J's matching LP gives a Farkas certificate",
+     extremal_pipeline(ext30, Fraction(1)))
 
 
 def crafted(k, n):

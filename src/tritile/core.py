@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -179,76 +179,61 @@ def extremal_witness_size(n: int, k: int) -> int:
 class ExtremalityVerdict:
     extremal: bool
     witness: Optional[tuple[int, ...]]
-    mode: str  # "exact" or "heuristic"; heuristic is sound for "true" only
     size: int
 
 
-# Exact extremality gives up before enumerating more candidate subsets.
-_SUBSET_BUDGET = 5_000_000
+# Node budget of the library's searches.
+DEFAULT_NODE_BUDGET = 2_000_000
 
 
-def is_gamma_extremal(
-    H: KGraph, gamma: Fraction, *, mode: str = "exact"
-) -> ExtremalityVerdict:
+def is_gamma_extremal(H: KGraph, gamma: Fraction) -> ExtremalityVerdict:
     """Decide whether some induced subgraph on the target size has density <= gamma.
 
-    Exact mode enumerates all candidate subsets and raises BudgetExceeded,
-    before any search, when there are more than ``_SUBSET_BUDGET``; heuristic
-    mode peels maximum-degree vertices greedily and is sound only when it
-    answers True.  gamma must be nonnegative.
+    The witness is the lexicographically first such set, found by a
+    depth-first search in lexicographic order that cuts a set once its edges
+    exceed gamma * C(target, k) (adding vertices removes no edge) or too few
+    vertices remain: a branch and bound in the style of Carraghan and
+    Pardalos (Oper. Res. Lett. 9, 1990).  Past ``DEFAULT_NODE_BUDGET`` sets
+    it raises BudgetExceeded, never "not extremal".  gamma must be nonnegative.
     """
-    if mode not in ("exact", "heuristic"):
-        raise ValueError(f"unknown mode {mode!r}")
     gamma = Fraction(gamma)
     if gamma < 0:
         raise InvalidDimension("gamma must be nonnegative")
-    target = extremal_witness_size(H.n, H.k)
+    n = H.n
+    target = extremal_witness_size(n, H.k)
     if target < H.k:
         # No edges fit inside the witness, so its density vanishes.
-        return ExtremalityVerdict(True, tuple(range(target)), mode, target)
-    denom = comb(target, H.k)
-    # d(H[S]) <= gamma  <=>  e(H[S]) * 1 <= gamma * C(target, k)
-    max_edges = gamma * denom
-
-    if mode == "exact":
-        total = comb(H.n, target)
-        if total > _SUBSET_BUDGET:
-            raise BudgetExceeded(
-                f"{total} candidate subsets exceed budget {_SUBSET_BUDGET}",
-                partial_count=0,
-            )
-        edge_masks = [_mask(e) for e in H.edges]
-        for S in itertools.combinations(range(H.n), target):
-            smask = _mask(S)
-            count = 0
-            ok = True
-            for em in edge_masks:
-                if em & smask == em:
+        return ExtremalityVerdict(True, tuple(range(target)), target)
+    # d(H[S]) <= gamma  <=>  e(H[S]) <= floor(gamma * C(target, k))
+    limit = floor(gamma * comb(target, H.k))
+    # Each edge is counted under its largest vertex, as the mask of the others.
+    below: list[list[int]] = [[] for _ in range(n)]
+    for e in H.edges:
+        below[e[-1]].append(_mask(e[:-1]))
+    stack = [(-1, 0, 0)]  # each prefix's last vertex, edge count and mask
+    nodes = v = 0
+    while len(stack) <= target:
+        _, edges, inside = stack[-1]
+        for v in range(v, n - target + len(stack)):
+            count = edges
+            for m in below[v]:
+                if m & inside == m:
                     count += 1
-                    if count > max_edges:
-                        ok = False
+                    if count > limit:
                         break
-            if ok and count <= max_edges:
-                return ExtremalityVerdict(True, S, "exact", target)
-        return ExtremalityVerdict(False, None, "exact", target)
-
-    # heuristic mode
-    alive = set(range(H.n))
-    edges = [set(e) for e in H.edges]
-    while len(alive) > target:
-        deg = {v: 0 for v in alive}
-        for e in edges:
-            if e <= alive:
-                for v in e:
-                    deg[v] += 1
-        # peel the busiest vertex; ties break on the lowest id
-        v_star = max(sorted(alive), key=lambda v: deg[v])
-        alive.discard(v_star)
-    S = tuple(sorted(alive))
-    count = sum(1 for e in edges if e <= alive)
-    if count <= max_edges:
-        return ExtremalityVerdict(True, S, "heuristic", target)
-    return ExtremalityVerdict(False, None, "heuristic", target)
+            else:  # the prefix plus v stays within the limit: extend it
+                break
+        else:  # no vertex from v on extends the prefix: backtrack
+            if len(stack) == 1:
+                return ExtremalityVerdict(False, None, target)
+            v = stack.pop()[0] + 1
+            continue
+        nodes += 1
+        if nodes > DEFAULT_NODE_BUDGET:
+            raise BudgetExceeded(f"witness search exceeded {DEFAULT_NODE_BUDGET} nodes")
+        stack.append((v, count, inside | 1 << v))
+        v += 1
+    return ExtremalityVerdict(True, tuple(u for u, _, _ in stack[1:]), target)
 
 
 def _mask(vertices: Iterable[int]) -> int:

@@ -12,10 +12,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import or_
 from typing import Callable, Optional, Sequence
 
-from .core import KGraph, _check_range, _mask, canonical_vertex_set, is_gamma_extremal
+from .core import (
+    DEFAULT_NODE_BUDGET,
+    KGraph,
+    _check_range,
+    _mask,
+    canonical_vertex_set,
+    induced,
+    is_gamma_extremal,
+)
 from .errors import (
     BudgetExceeded,
     DivisibilityError,
@@ -32,11 +42,10 @@ from .patterns import (
     DEFAULT_COPY_CAP,
     Tiling,
     TriangleCopy,
+    _mask_vertices,
     _row_bits,
     _set_index,
 )
-
-DEFAULT_NODE_BUDGET = 2_000_000
 
 
 # -- exact cover engine ------------------------------------------------------
@@ -121,13 +130,13 @@ class _CoverSearch:
 
 
 def _pack(
-    rows: Sequence[Sequence[int]], bits: dict[int, int], lo: int, hi: int, budget: int
+    rows: Sequence[int], bits: dict[int, int], lo: int, hi: int, budget: int
 ) -> Optional[list[int]]:
     """Branch and bound for more than ``lo`` and at most ``hi`` pairwise
     disjoint rows: the first packing of the most rows it finds, as ascending
     row indices, or None when none has more than ``lo``.
 
-    ``rows`` are vertex tuples of one size; ``bits`` maps each vertex of the
+    ``rows`` are vertex masks of one size; ``bits`` maps each vertex of the
     universe, ascending, to its row bitset, every row lying inside it.  A
     node branches on the lowest undecided vertex: first on each live row
     holding it, by ascending index, then on leaving it uncovered.  A live
@@ -138,7 +147,7 @@ def _pack(
     lexicographic order, so the first packing of ``hi`` rows is the least.
     A blown budget raises with the best count so far and ``hi`` as bounds.
     """
-    size = len(rows[0]) if rows else 1
+    size = rows[0].bit_count() if rows else 1
     full = _mask(bits)
     best = None
     nodes = 0
@@ -164,9 +173,8 @@ def _pack(
         while branch:
             r = (branch & -branch).bit_length() - 1
             branch ^= 1 << r
-            row, kill = 0, 0
-            for u in rows[r]:
-                row |= 1 << u
+            row, kill = rows[r], 0
+            for u in _mask_vertices(row):
                 kill |= bits[u]
             chosen.append(r)
             search(decided | row, live & ~kill, chosen)
@@ -179,15 +187,14 @@ def _pack(
     return best
 
 
-def _disjoint_rows(
-    rows: Sequence[Sequence[int]], want: int, budget: int
-) -> Optional[list[int]]:
+def _disjoint_rows(rows: Sequence[int], want: int, budget: int) -> Optional[list[int]]:
     """The lexicographically first ``want`` pairwise disjoint rows of the
-    sorted vertex tuples ``rows``, all of one size, or None.  A blown budget
-    raises without bounds: a search for ``want`` rows certifies none."""
+    vertex masks ``rows``, all of one size and sorted by vertex tuple, or
+    None.  A blown budget raises without bounds: a search for ``want`` rows
+    certifies none."""
     if want == 0:
         return []
-    bits = _row_bits(list(map(_mask, rows)), sorted(set().union(*rows)))
+    bits = _row_bits(rows, _mask_vertices(reduce(or_, rows, 0)))
     try:
         return _pack(rows, bits, want - 1, want, budget)
     except BudgetExceeded as exc:
@@ -285,7 +292,7 @@ def max_tiling(H: KGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Ti
     alt = greedy(itertools.chain((j for _, j in support), range(len(masks))))
     best = sorted(max(best, alt, key=len))
     if len(best) < hi:
-        best = _pack(index, index.vertex_bits(), len(best), hi, budget) or best
+        best = _pack(masks, index.vertex_bits(), len(best), hi, budget) or best
     return len(best), Tiling(tuple(map(index.witness, best)), H.n)
 
 
@@ -542,13 +549,15 @@ def extremal_pipeline(
     """Constructive tiling pipeline for near-extremal hosts, run at finite n.
 
     Follows the constructive argument stage by stage with exact arithmetic:
-    good/bad split of the witness, the sparse-attachment set X, a matching
-    covering X through good sets, one copy per matched edge, the auxiliary
-    graph on the residual split, its density thresholds, and a perfect
-    matching in it.  Any stage may fail honestly on small hosts; the report
-    says which one.  Defaults: gamma' = gamma^(1/4), beta = gamma^(1/8),
-    both handled by power comparisons so verdicts stay exact.  gamma and any
-    given gamma' and beta must be nonnegative.
+    the witness (``is_gamma_extremal``'s, unless given), its good/bad split,
+    the sparse-attachment set X, a matching covering X through good sets,
+    one copy per matched edge, the auxiliary graph J on the residual split,
+    its density thresholds, and a perfect matching in J, which a Farkas
+    certificate of J's fractional relaxation refutes before any search.
+    Any stage may fail honestly on small hosts; the report says which one;
+    a blown budget raises.  Defaults: gamma' = gamma^(1/4), beta =
+    gamma^(1/8), both handled by power comparisons so verdicts stay exact.
+    gamma and any given gamma' and beta must be nonnegative.
     """
     gamma = Fraction(gamma)
     for name, value in (("gamma", gamma), ("gamma_prime", gamma_prime), ("beta", beta)):
@@ -613,7 +622,7 @@ def extremal_pipeline(
         goods = [q for q in itertools.combinations(e, k - 1) if q in good_set]
         if goods:
             m_candidates.append((e, goods[0]))  # least good set: combinations are sorted
-    m_rows = _disjoint_rows([e for e, _ in m_candidates], len(X), budget)
+    m_rows = _disjoint_rows([_mask(e) for e, _ in m_candidates], len(X), budget)
     if m_rows is None:
         return fail(
             "matching-M",
@@ -692,8 +701,13 @@ def extremal_pipeline(
         )
     ok("DH-check", f"deficit={deficit}/{full}, worst degree={worst}")
 
-    # perfect matching in J
-    rows = _edge_cover(sorted(A_rest + B_rest), aux.graph.edges, budget)
+    # perfect matching in J: a Farkas certificate of its fractional
+    # relaxation rules one out before any search
+    J, _ = induced(aux.graph, A_rest + B_rest)
+    lp = _fractional_verdict(J.n, _set_columns(J, [(e, e) for e in J.edges]))
+    rows = None if isinstance(lp, FarkasCertificate) else _edge_cover(
+        sorted(A_rest + B_rest), aux.graph.edges, budget
+    )
     if rows is None:
         return fail("J-matching", "auxiliary graph has no perfect matching")
     ok("J-matching", f"size={len(rows)}")

@@ -256,7 +256,7 @@ def robust_vectors(
                             value = limit
                             break
                     status = "not-robust"
-            elif _disjoint_rows(list(map(_mask_vertices, fam)), m + 1, budget) is not None:
+            elif _disjoint_rows(fam, m + 1, budget) is not None:
                 status, value = "robust", m + 1
         except BudgetExceeded:
             status, value = UNKNOWN, 0

@@ -86,18 +86,20 @@ def oracle_robust(H, P, vector, removable, index_vector_fn, supports_fn):
 
 
 def oracle_gamma_extremal(H, gamma, size):
-    """Iterate all subsets of the target size; density by direct count."""
+    """The first subset of the target size, in lexicographic order, whose
+    density is at most gamma, by direct count; None when there is none."""
     from fractions import Fraction
     from math import comb
 
     if size < H.k:
-        return True
+        return tuple(range(size))
+    edges = [set(e) for e in H.edges]
     for S in itertools.combinations(range(H.n), size):
         members = set(S)
-        count = sum(1 for e in H.edges if set(e) <= members)
+        count = sum(1 for e in edges if e <= members)
         if Fraction(count, comb(size, H.k)) <= gamma:
-            return True
-    return False
+            return S
+    return None
 
 
 def oracle_automorphisms(pattern):

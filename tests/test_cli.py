@@ -10,7 +10,7 @@ import pytest
 
 import tritile
 
-from tritile import cli, lattice
+from tritile import cli, core, lattice
 from tritile.cli import main, parse_blocks, parse_rational, parse_vertices, run, UsageError
 from tritile.core import KGraph, load_kgraph, save_kgraph
 
@@ -616,14 +616,24 @@ def test_reach_without_enough_connectors_is_unknown(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "unknown"
 
 
-def test_pipeline_over_witness_budget_is_unknown_budget(tmp_path, capsys):
+def test_pipeline_decides_ext_3_30(tmp_path, capsys):
     inst = tmp_path / "ext30.kg"
     run(["gen", "extremal", "--k", "3", "--n", "30", "-o", str(inst)])
     capsys.readouterr()
+    assert main(["pipeline", str(inst), "--gamma", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "decided-no"
+
+
+def test_pipeline_over_witness_budget_is_unknown_budget(tmp_path, capsys, monkeypatch):
+    # ext(3,30) at gamma 0 needs 117 witness-search nodes
+    inst = tmp_path / "ext30.kg"
+    run(["gen", "extremal", "--k", "3", "--n", "30", "-o", str(inst)])
+    capsys.readouterr()
+    monkeypatch.setattr(core, "DEFAULT_NODE_BUDGET", 116)
     assert main(["pipeline", str(inst), "--gamma", "0"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "unknown-budget"
-    assert report["reason"] == "86493225 candidate subsets exceed budget 5000000"
+    assert report["reason"] == "witness search exceeded 116 nodes"
 
 
 def test_dh_check_empty_a_and_b_exits_1(tmp_path, capsys):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tritile import core
 from tritile.core import (
+    ExtremalityVerdict,
     KGraph,
     complete_kgraph,
     density,
@@ -120,30 +122,30 @@ def test_gamma_extremal_edgeless_true():
     assert verdict.extremal
 
 
-def test_gamma_extremal_subset_budget_raises_before_search():
-    # C(30, 18) = 86 493 225 candidate witnesses, over the 5 M budget
-    with pytest.raises(BudgetExceeded) as blown:
-        is_gamma_extremal(extremal_construction(3, 30).graph, Fraction(0))
-    assert str(blown.value) == "86493225 candidate subsets exceed budget 5000000"
-    assert blown.value.partial_count == 0
-
-
-def test_gamma_extremal_heuristic_sound_for_true():
-    inst = extremal_construction(3, 15)
-    verdict = is_gamma_extremal(inst.graph, Fraction(0), mode="heuristic")
-    assert verdict.mode == "heuristic"
-    if verdict.extremal:
-        members = set(verdict.witness)
-        assert not any(set(e) <= members for e in inst.graph.edges)
+def test_gamma_extremal_finds_the_north_star_witness_within_its_budget(monkeypatch):
+    # ext(3,30) at gamma 0: 117 search nodes to the witness 11..28, inside B
+    H = extremal_construction(3, 30).graph
+    monkeypatch.setattr(core, "DEFAULT_NODE_BUDGET", 117)
+    verdict = is_gamma_extremal(H, Fraction(0))
+    assert verdict == ExtremalityVerdict(True, tuple(range(11, 29)), 18)
+    monkeypatch.setattr(core, "DEFAULT_NODE_BUDGET", 116)
+    with pytest.raises(BudgetExceeded, match="^witness search exceeded 116 nodes$"):
+        is_gamma_extremal(H, Fraction(0))
 
 
 def test_gamma_extremal_matches_oracle_small():
-    for seed in range(12):
-        H = random_with_codegree(7, 3, (seed % 3), seed=seed)
-        size = (2 * 3 - 3) * 7 // (2 * 3 - 1)
-        for gamma in (Fraction(0), Fraction(1, 10), Fraction(1, 2)):
-            mine = is_gamma_extremal(H, gamma).extremal
-            assert mine == oracle_gamma_extremal(H, gamma, size)
+    # n = 5 puts the target below k for k = 2 and 4, n = 4 for k = 3; the
+    # codegree runs from 0 to n - k, so there are hosts with no witness
+    gammas = (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1))
+    for k, sizes in ((2, (5, 9, 12)), (3, (4, 7, 10, 12)), (4, (5, 8, 11, 12))):
+        for n in sizes:
+            for seed in range(4):
+                H = random_with_codegree(n, k, seed * (n - k) // 3, seed=seed)
+                size = (2 * k - 3) * n // (2 * k - 1)
+                for gamma in gammas:
+                    verdict = is_gamma_extremal(H, gamma)
+                    witness = oracle_gamma_extremal(H, gamma, size)
+                    assert verdict == ExtremalityVerdict(witness is not None, witness, size)
 
 
 def test_codegree_sum_identity_on_corpus(small_corpus):
@@ -192,12 +194,6 @@ def test_format_rejects_duplicate_edges():
 def test_format_rejects_unsorted_edge():
     with pytest.raises(FormatError):
         parse_kgraph("p kgraph 4 3\ne 2 1 0\n")
-
-
-def test_gamma_extremal_rejects_an_unknown_mode_below_k():
-    # The witness target 0 lies below k, which answers before any search.
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        is_gamma_extremal(KGraph(3, 3, []), 0, mode="bogus")
 
 
 @pytest.mark.parametrize("text", ["p kgraph 5 x\n", "p kgraph 5.0 3\n"])

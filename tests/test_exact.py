@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -7,6 +8,7 @@ from math import comb
 
 import pytest
 
+from tritile import core
 from tritile.core import KGraph, complete_kgraph, is_gamma_extremal
 from tritile.constructions import extremal_construction, random_with_codegree
 from tritile.errors import BudgetExceeded, InvalidDimension, InvalidPartiteStructure
@@ -286,10 +288,12 @@ def test_build_auxiliary_graph_cap_bounds_the_host_sets():
     assert aux.graph.edge_count() == comb(5, 3) * comb(3, 2)
 
 
-def test_pipeline_witness_budget_raises_before_search():
-    with pytest.raises(BudgetExceeded) as blown:
+def test_pipeline_witness_search_is_budgeted(monkeypatch):
+    # ext(3,30) at gamma 0 needs 117 witness-search nodes; one fewer raises
+    # instead of failing the witness stage.
+    monkeypatch.setattr(core, "DEFAULT_NODE_BUDGET", 116)
+    with pytest.raises(BudgetExceeded, match="^witness search exceeded 116 nodes$"):
         extremal_pipeline(extremal_construction(3, 30).graph, Fraction(0))
-    assert blown.value.partial_count == 0
 
 
 @pytest.mark.parametrize(
@@ -299,8 +303,8 @@ def test_pipeline_witness_budget_raises_before_search():
     ids=["gamma", "gamma-prime", "beta"],
 )
 def test_negative_densities_raise_before_any_search(kwargs):
-    # ext(3,25) at gamma 0 walks millions of subsets before its witness, so a
-    # check that came after the walk would not finish in time here.
+    # A negative gamma would cut every set of the witness search, so without
+    # the check ext(3,25) would read as not extremal instead of raising.
     H = extremal_construction(3, 25).graph
     with pytest.raises(InvalidDimension):
         extremal_pipeline(H, **kwargs)
@@ -309,8 +313,6 @@ def test_negative_densities_raise_before_any_search(kwargs):
     if "gamma_prime" not in kwargs and "beta" not in kwargs:
         with pytest.raises(InvalidDimension):
             is_gamma_extremal(H, kwargs["gamma"])
-        with pytest.raises(InvalidDimension):
-            is_gamma_extremal(H, kwargs["gamma"], mode="heuristic")
 
 
 def test_pipeline_complete_success():
@@ -426,7 +428,8 @@ def _budget_cases():
         return lambda b: kpartite_perfect_matching(J, classes, budget=b)
 
     def packing(rows, want):
-        return lambda b: [rows[r] for r in _disjoint_rows(rows, want, b)]
+        masks = [sum(1 << v for v in row) for row in rows]
+        return lambda b: [rows[r] for r in _disjoint_rows(masks, want, b)]
 
     def pipeline(H):
         return lambda b: extremal_pipeline(H, Fraction(1), budget=b).to_json()["stages"][3:]
@@ -587,6 +590,10 @@ PIPELINE_CASES = {
     "demo05 K15^(3)": (lambda: complete_kgraph(15, 3), Fraction(1), {}),
     "demo05 ext(3,15)": (lambda: extremal_construction(3, 15).graph, Fraction(0), {}),
     "demo05 crafted(3,15)": (lambda: _crafted(3, 15), Fraction(1), {}),
+    "ext(3,30)": (lambda: extremal_construction(3, 30).graph, Fraction(0), {}),
+    "ext(3,30) gamma=1": (lambda: extremal_construction(3, 30).graph, Fraction(1), {}),
+    "ext(4,21)": (lambda: extremal_construction(4, 21).graph, Fraction(0), {}),
+    "ext(4,21) gamma=1": (lambda: extremal_construction(4, 21).graph, Fraction(1), {}),
 }
 
 # sha256 of ``extremal_pipeline(...).to_json()``, taken while J was built by
@@ -610,6 +617,10 @@ PIPELINE_PINS = {
     "demo05 K15^(3)": "6fcb57e6de0cb7bf200dc111dfba97b20815266c0a3512111e64f3f02184fcc5",
     "demo05 ext(3,15)": "4c5a2c1c1e3edd130b07a58fe3b4c0996b9a1172ee24496a4a7604c88a60c956",
     "demo05 crafted(3,15)": "6fcb57e6de0cb7bf200dc111dfba97b20815266c0a3512111e64f3f02184fcc5",
+    "ext(3,30)": "227f1c7ae1da86eed4600a404be8c547224c08645010ea9e9f0c45db5997b843",
+    "ext(3,30) gamma=1": "e5c4a621ed731228d98a091a05ded56fc86865d5883b43750a077e738a641a25",
+    "ext(4,21)": "e11fd846e6e96501f150891f50622fc78f8df85295b6726c509962c65ac5ee91",
+    "ext(4,21) gamma=1": "cfde10f40b977c758a5d3aa0d9afefea858714c67ccaf925848a3254a4688b1f",
 }
 
 # crafted(4,21), the k=4 n=21 pipeline, at gamma 1
@@ -635,10 +646,29 @@ def test_build_auxiliary_graph_pins(name):
     assert _aux_digest(aux) == AUX_PINS[name]
 
 
+@functools.cache
+def _pipeline_report(name) -> dict:
+    host, gamma, kwargs = PIPELINE_CASES[name]
+    return extremal_pipeline(host(), gamma, **kwargs).to_json()
+
+
 @pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
 def test_extremal_pipeline_pins(name):
-    host, gamma, kwargs = PIPELINE_CASES[name]
-    assert _sha256(extremal_pipeline(host(), gamma, **kwargs).to_json()) == PIPELINE_PINS[name]
+    assert _sha256(_pipeline_report(name)) == PIPELINE_PINS[name]
+
+
+def test_extremal_pipeline_decides_the_north_star_hosts():
+    # The tight hosts have no perfect tiling.  At gamma 0 no edge of H[A]
+    # holds a good (k-1)-set, so M fails; at gamma 1 the perfect fractional
+    # matching LP of J is infeasible.
+    hosts = ("ext(3,30)", "ext(3,30) gamma=1", "ext(4,21)", "ext(4,21) gamma=1")
+    failed = {name: _pipeline_report(name)["stages"][-1] for name in hosts}
+    assert {name: (stage["stage"], stage["status"]) for name, stage in failed.items()} == {
+        "ext(3,30)": ("matching-M", "failed"),
+        "ext(3,30) gamma=1": ("J-matching", "failed"),
+        "ext(4,21)": ("matching-M", "failed"),
+        "ext(4,21) gamma=1": ("J-matching", "failed"),
+    }
 
 
 def test_extremal_pipeline_decides_k4_n21():

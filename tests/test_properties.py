@@ -410,9 +410,10 @@ def packing_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_packing_search_finds_the_first_and_the_largest_packings(case, want):
     n, size, rows = case
-    first = _disjoint_rows(rows, want, 10**6)
+    masks = [sum(1 << v for v in row) for row in rows]
+    first = _disjoint_rows(masks, want, 10**6)
     assert first == oracle_first_disjoint_rows(rows, want)
-    found = _pack(rows, oracle_row_bits(range(n), rows), 0, n // size, 10**6)
+    found = _pack(masks, oracle_row_bits(range(n), rows), 0, n // size, 10**6)
     assert len(found or ()) == oracle_max_packing(rows)
     if found:
         assert found == sorted(found)
