@@ -23,7 +23,6 @@ from .core import (
     _check_range,
     _mask,
     canonical_vertex_set,
-    induced,
     is_gamma_extremal,
 )
 from .errors import (
@@ -35,6 +34,7 @@ from .errors import (
 from .fractional import (
     FarkasCertificate,
     _fractional_verdict,
+    _IndexRows,
     _packing_lp,
     _set_columns,
 )
@@ -201,13 +201,6 @@ def _disjoint_rows(rows: Sequence[int], want: int, budget: int) -> Optional[list
         raise BudgetExceeded(str(exc)) from None
 
 
-def _edge_cover(universe: Sequence[int], edges: Sequence[tuple[int, ...]], budget: int):
-    """Perfect matching of ``universe`` by ``edges``, all inside it: the
-    chosen edge indices, or None."""
-    masks = list(map(_mask, edges))
-    return _CoverSearch(_row_bits(masks, universe), masks, budget).run()
-
-
 # -- tilings -------------------------------------------------------------------
 
 
@@ -331,10 +324,9 @@ def kpartite_perfect_matching(
     """Exact perfect-matching decision in a balanced k-partite k-graph."""
     blocks = _check_partite(J, classes)
     universe = sorted(v for b in blocks for v in b)
-    rows = _edge_cover(universe, J.edges, budget)
-    if rows is None:
-        return None
-    return [J.edges[r] for r in rows]
+    masks = list(map(_mask, J.edges))
+    rows = _CoverSearch(_row_bits(masks, universe), masks, budget).run()
+    return None if rows is None else [J.edges[r] for r in rows]
 
 
 @dataclass(frozen=True)
@@ -345,17 +337,17 @@ class DegreeReport:
     threshold: Fraction
 
 
-def _least_degree(J: KGraph, vertices: Sequence[int]) -> Optional[tuple[int, int]]:
-    """(vertex, degree) of the first vertex of least degree in J, in the
-    order given, or None when there are no vertices."""
-    degrees = ((v, len(J.vertex_edges(v))) for v in vertices)
-    return min(degrees, key=lambda vd: vd[1], default=None)
+def _least_degree(degrees: dict[int, int]) -> Optional[tuple[int, int]]:
+    """(vertex, degree) of the first vertex of least degree in ``degrees``,
+    in its order, or None when it is empty."""
+    return min(degrees.items(), key=lambda vd: vd[1], default=None)
 
 
 def dh_condition(J: KGraph, classes: Sequence[Sequence[int]]) -> DegreeReport:
     """Per-vertex degree >= (k-1) m^(k-1) / k in a balanced k-partite k-graph."""
     blocks = _check_partite(J, classes)
-    worst = _least_degree(J, sorted(v for b in blocks for v in b))
+    universe = sorted(v for b in blocks for v in b)
+    worst = _least_degree({v: len(J.vertex_edges(v)) for v in universe})
     if worst is None:
         raise InvalidPartiteStructure("classes are empty")
     m = len(blocks[0])
@@ -407,7 +399,7 @@ def corollary_check(
         if _mask(e) & outside:
             raise InvalidPartiteStructure(f"edge {e} leaves A + B")
     edge_thr, vertex_thr = corollary_thresholds(k, len(B) // 2, beta)
-    worst_v, worst_d = _least_degree(J, A + B)
+    worst_v, worst_d = _least_degree({v: len(J.vertex_edges(v)) for v in A + B})
     ok = J.edge_count() >= edge_thr and worst_d >= vertex_thr
     return CorollaryReport(ok, J.edge_count(), edge_thr, worst_v, worst_d, vertex_thr)
 
@@ -475,14 +467,16 @@ def build_auxiliary_graph(
     A = _check_range(canonical_vertex_set(A), H.n)
     B = _check_range(canonical_vertex_set(B), H.n)
     index = _set_index(H, cap)
+    copy_map = {index[r]: index.witness(r) for r in _aux_rows(index.masks, A, B)}
+    return AuxiliaryGraph(KGraph(H.n, 2 * H.k - 1, copy_map), A, B, copy_map)
+
+
+def _aux_rows(masks: Sequence[int], A: Sequence[int], B: Sequence[int]) -> list[int]:
+    """The rows of the set index ``masks`` inside A + B that meet B twice:
+    for disjoint A and B, the auxiliary graph's edges, in row order."""
     b_mask = _mask(B)
     outside = ~(_mask(A) | b_mask)
-    copy_map = {
-        index[r]: index.witness(r)
-        for r, m in enumerate(index.masks)
-        if not m & outside and (m & b_mask).bit_count() == 2
-    }
-    return AuxiliaryGraph(KGraph(H.n, 2 * H.k - 1, copy_map), A, B, copy_map)
+    return [r for r, m in enumerate(masks) if not m & outside and (m & b_mask).bit_count() == 2]
 
 
 # -- the extremal-case pipeline -------------------------------------------------
@@ -515,26 +509,14 @@ class PipelineResult:
         }
 
 
-class _RootBound:
-    """Compare counts against gamma^(1/power) * scale without leaving Q."""
-
-    def __init__(self, gamma: Fraction, power: int, explicit: Optional[Fraction]):
-        self.gamma = Fraction(gamma)
-        self.power = power
-        self.explicit = None if explicit is None else Fraction(explicit)
-
-    def count_at_least(self, count: int, scale) -> bool:
-        if self.explicit is not None:
-            return count >= self.explicit * scale
-        return Fraction(count) ** self.power >= self.gamma * Fraction(scale) ** self.power
-
-    def deficit_at_most(self, deficit, scale) -> bool:
-        """deficit <= gamma^(1/power) * scale (used for (1-beta) edge counts)."""
-        if deficit < 0:
-            return True
-        if self.explicit is not None:
-            return deficit <= self.explicit * scale
-        return Fraction(deficit) ** self.power <= self.gamma * Fraction(scale) ** self.power
+def _cmp_root(x, scale, gamma: Fraction, power: int, explicit) -> int:
+    """The sign of x - gamma^(1/power) * scale, for x >= 0 and scale > 0, or
+    of x - explicit * scale when ``explicit`` is given, without leaving Q."""
+    if explicit is not None:
+        lhs, rhs = x, Fraction(explicit) * scale
+    else:
+        lhs, rhs = Fraction(x) ** power, gamma * Fraction(scale) ** power
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def extremal_pipeline(
@@ -578,9 +560,6 @@ def extremal_pipeline(
 
     if n % s != 0:
         raise DivisibilityError(f"n={n} not divisible by {s}")
-
-    gamma_quarter = _RootBound(gamma, 4, gamma_prime)
-    gamma_eighth = _RootBound(gamma, 8, beta)
 
     # witness
     if witness is None:
@@ -646,7 +625,7 @@ def extremal_pipeline(
         zw = tuple(sorted(z + (w,)))
         nb_b = [v for v in H.neighborhood(zw) if v in b_members]
         copy = None
-        if gamma_quarter.count_at_least(len(nb_b), n):
+        if _cmp_root(len(nb_b), n, gamma, 4, gamma_prime) >= 0:
             q_nbrs = set(H.neighborhood(q))
             common = [y for y in nb_b if y not in v_of_m and y not in used and y in q_nbrs]
             if common:
@@ -683,15 +662,18 @@ def extremal_pipeline(
             "build-J",
             f"residual split |A'|={len(A_rest)}, |B'|={len(B_rest)} is off balance",
         )
-    aux = build_auxiliary_graph(H, A_rest, B_rest)
-    ok("build-J", f"edges={aux.graph.edge_count()}")
+    # J: the rows of the host's set index inside A'+B' that meet B' twice
+    index = _set_index(H)
+    J = _IndexRows(index, _aux_rows(index.masks, A_rest, B_rest), sorted(A_rest + B_rest))
+    ok("build-J", f"edges={len(J)}")
 
-    # density thresholds on J
+    # density thresholds on J, its degrees read from its vertex row bitsets
     full = comb(len(A_rest), 2 * k - 3) * comb(len(B_rest), 2)
-    deficit = full - aux.graph.edge_count()
-    p1 = gamma_eighth.deficit_at_most(deficit, full)
+    deficit = full - len(J)
+    p1 = deficit < 0 or _cmp_root(deficit, full, gamma, 8, beta) <= 0
     vertex_thr = Fraction(n1 ** (2 * k - 2), s ** ((k + 1) ** 2 + 2 * k - 2))
-    worst = _least_degree(aux.graph, A_rest + B_rest)
+    bits = _row_bits(J.masks, J.universe)
+    worst = _least_degree({v: bits[v].bit_count() for v in A_rest + B_rest})
     p2 = worst is not None and worst[1] >= vertex_thr
     if not (p1 and p2):
         return fail(
@@ -702,20 +684,14 @@ def extremal_pipeline(
     ok("DH-check", f"deficit={deficit}/{full}, worst degree={worst}")
 
     # perfect matching in J: a Farkas certificate of its fractional
-    # relaxation rules one out before any search
-    J, _ = induced(aux.graph, A_rest + B_rest)
-    lp = _fractional_verdict(J.n, _set_columns(J, [(e, e) for e in J.edges]))
-    rows = None if isinstance(lp, FarkasCertificate) else _edge_cover(
-        sorted(A_rest + B_rest), aux.graph.edges, budget
-    )
+    # relaxation, over A'+B' renumbered in order, rules one out first
+    farkas = isinstance(_fractional_verdict(n1, J.columns()), FarkasCertificate)
+    rows = None if farkas else _CoverSearch(bits, J.masks, budget).run()
     if rows is None:
         return fail("J-matching", "auxiliary graph has no perfect matching")
     ok("J-matching", f"size={len(rows)}")
 
-    final_copies = list(copies_for_x)
-    for r in rows:
-        final_copies.append(aux.copy_map[aux.graph.edges[r]])
-    tiling = Tiling(tuple(final_copies), n)
+    tiling = Tiling(tuple(copies_for_x) + tuple(map(J.witness, rows)), n)
     if not tiling.perfect:
         raise ArithmeticError("internal: assembled tiling is not perfect")
     result.tiling = tiling

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from .core import KGraph, _mask
 from .errors import BudgetExceeded, InvalidDimension, InvalidVertex
-from .patterns import TriangleCopy, _set_index, _vertex_columns, supporting_sets
+from .patterns import TriangleCopy, _mask_vertices, _set_index, _vertex_columns
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -134,13 +134,13 @@ def frac_str(q) -> str:
 # its incidence is packed at set-up into one int per row, a field per column.
 
 
-def _packed_rows(masks: Sequence[int], nrows: int) -> list[int]:
-    """One int per row r < ``nrows``: field j of it (``_FIELD_BITS`` wide) is
-    1 when the mask ``masks[j]`` holds r.  Each is the row's column of the
-    incidence, one 0/1 byte per block column, set into the low byte of each
-    field."""
+def _packed_rows(masks: Sequence[int], universe: Sequence[int]) -> list[int]:
+    """One int per vertex of ``universe``, in its order: field j of it
+    (``_FIELD_BITS`` wide) is 1 when the mask ``masks[j]`` holds the vertex.
+    Each is the vertex's column of the incidence, one 0/1 byte per block
+    column, set into the low byte of each field."""
     packed = []
-    for column in _vertex_columns(masks, range(nrows), b"\x00\x01"):
+    for column in _vertex_columns(masks, universe, b"\x00\x01"):
         fields = bytearray(_FIELD_BYTES * len(column))
         fields[_FIELD_BYTES - 1::_FIELD_BYTES] = column  # last column first
         packed.append(int.from_bytes(fields, "big"))
@@ -427,9 +427,31 @@ def _set_columns(H: KGraph, sets: Optional[SetList] = None):
     of the n vertex rows."""
     if sets is None:
         index = _set_index(H)
-        return index, _packed_rows(index.masks, H.n), index.witness
+        return index, _packed_rows(index.masks, range(H.n)), index.witness
     rows = [vs for vs, _ in sets]
-    return rows, _packed_rows(list(map(_mask, rows)), H.n), lambda j: sets[j][1]
+    return rows, _packed_rows(list(map(_mask, rows)), range(H.n)), lambda j: sets[j][1]
+
+
+class _IndexRows:
+    """The set ``index``'s rows ``rows`` as LP set columns: ``masks`` holds
+    their host masks, and column j reads as its vertices' positions in the
+    sorted ``universe``, decoded when read, as its witness is built."""
+
+    def __init__(self, index, rows: Sequence[int], universe: Sequence[int]):
+        self.masks = [index.masks[r] for r in rows]
+        self.universe = universe
+        self.witness = lambda j: index.witness(rows[j])
+        self._position = {v: i for i, v in enumerate(universe)}.__getitem__
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, j: int) -> tuple[int, ...]:
+        return tuple(map(self._position, _mask_vertices(self.masks[j])))
+
+    def columns(self):
+        """(rows, packed rows, witness), as ``_set_columns`` gives them."""
+        return self, _packed_rows(self.masks, self.universe), self.witness
 
 
 def _basis_tiling(n: int, sx: "_Simplex", witness) -> FractionalTiling:
@@ -452,11 +474,16 @@ def perfect_fractional_tiling(H: KGraph, *, sets: Optional[SetList] = None):
     Exactly one of the two is returned; the certificate is validated against
     the full supporting-set list before being handed back.
     """
-    columns = _set_columns(H, sets)
-    verdict = _fractional_verdict(H.n, columns)
+    return _fractional_answer(H.n, _set_columns(H, sets))
+
+
+def _fractional_answer(n: int, columns):
+    """The Farkas certificate, or the basic solution's weights, of phase 1
+    over the set ``columns``; only the basic columns' witnesses are built."""
+    verdict = _fractional_verdict(n, columns)
     if isinstance(verdict, FarkasCertificate):
         return verdict
-    return _basis_tiling(H.n, verdict, columns[2])
+    return _basis_tiling(n, verdict, columns[2])
 
 
 def _fractional_verdict(n: int, columns):
@@ -528,12 +555,9 @@ def b_avoiding_fractional_tiling(H: KGraph, B: KGraph):
     if B.k != 2 or B.n != H.n:
         raise InvalidDimension("B must be a 2-uniform graph on V(H)")
     pairs = list(map(_mask, B.edges))
-    sets = [
-        row
-        for row, m in zip(supporting_sets(H), _set_index(H).masks)
-        if all(m & p != p for p in pairs)
-    ]
-    return perfect_fractional_tiling(H, sets=sets)
+    index = _set_index(H)
+    rows = [r for r, m in enumerate(index.masks) if all(m & p != p for p in pairs)]
+    return _fractional_answer(H.n, _IndexRows(index, rows, range(H.n)).columns())
 
 
 def packing_lp_value(

@@ -222,21 +222,21 @@ def robust_vectors(
     packing-bound mode certifies robustness from floor(beta n)+1 disjoint
     copies and answers unknown otherwise.  A search that blows its budget,
     the shrink of a not-robust vector's transversal number included, leaves
-    the vector unknown.  beta must be nonnegative.
+    the vector unknown.  beta must be nonnegative, and P must partition the
+    host's n vertices.
     """
     if mode not in ("exact", "packing-bound"):
         raise ValueError(f"unknown mode {mode!r}")
     beta = Fraction(beta)
     if beta < 0:
         raise InvalidDimension("beta must be nonnegative")
+    if P.n != H.n:
+        raise InvalidDimension(f"partition has {P.n} vertices, host has {H.n}")
     m = int(beta * H.n)
     index = _set_index(H)
     block_masks = [_mask(b) for b in P.blocks]
-    n = P.n
     by_vec: dict[tuple[int, ...], list[int]] = {}
     for mask in index.masks:
-        if mask >> n:
-            raise InvalidVertex(f"{_mask_vertices(mask)} leaves the partition's vertex range")
         vec = tuple((mask & bm).bit_count() for bm in block_masks)
         by_vec.setdefault(vec, []).append(mask)
     out = {}

@@ -3,6 +3,8 @@
 Nothing here imports solver internals: pattern containment is decided by
 trying base/apex splits directly against the edge set, tilings by naive
 recursive partition, lattice membership by bounded coefficient search.
+``oracle_j_stage`` composes public solver functions only, as the route that
+the pipeline's own J stage must agree with.
 """
 
 import itertools
@@ -221,3 +223,29 @@ def oracle_supporting_sets(H):
     return [
         S for S in itertools.combinations(range(H.n), 2 * H.k - 1) if oracle_supports(H, S)
     ]
+
+
+def oracle_j_stage(H, A, B, classes):
+    """The extremal pipeline's J stage by the public route, on disjoint
+    sorted A and B and a host whose J is (2k-1)-partite over ``classes``.
+
+    J comes from ``build_auxiliary_graph``; its edge count and its first
+    vertex of least degree, A before B, from ``corollary_check``.  J is then
+    relabelled onto A + B by ``induced``, in order; its perfect fractional
+    matching LP is ``perfect_fractional_tiling`` over J's edges as the
+    ``sets`` list, and its first perfect matching is
+    ``kpartite_perfect_matching``'s, mapped back to H's vertices.  Returns
+    (edge count, (vertex, degree), LP answer, matching or None)."""
+    from tritile.core import induced
+    from tritile.exact import build_auxiliary_graph, corollary_check, kpartite_perfect_matching
+    from tritile.fractional import perfect_fractional_tiling
+
+    aux = build_auxiliary_graph(H, A, B)
+    report = corollary_check(aux.graph, A, B, 1)
+    J, relabel = induced(aux.graph, A + B)
+    lp = perfect_fractional_tiling(J, sets=[(e, e) for e in J.edges])
+    matching = kpartite_perfect_matching(J, [[relabel[v] for v in c] for c in classes])
+    if matching is not None:
+        back = sorted(relabel, key=relabel.__getitem__)
+        matching = [tuple(back[v] for v in e) for e in matching]
+    return report.edge_count, (report.worst_vertex, report.worst_degree), lp, matching

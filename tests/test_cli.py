@@ -426,6 +426,17 @@ def test_reach_out_of_range_endpoint_exits_1(tmp_path, capsys):
     assert err == ["error: (0, 9) leaves the vertex range 0..4"]
 
 
+def test_lattice_blocks_of_another_vertex_count_exit_1(tmp_path, capsys):
+    # A 7-vertex host partitioned as 0..7 would read vertex 7 as real.
+    inst = tmp_path / "k7.kg"
+    run(["gen", "complete", "--n", "7", "--k", "3", "-o", str(inst)])
+    capsys.readouterr()
+    assert main(["lattice", str(inst), "--blocks", "0-3;4-7", "--beta", "1/7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: partition has 8 vertices, host has 7"]
+
+
 _K5_TEXT = b"p kgraph 5 3\n" + b"".join(
     b"e %d %d %d\n" % e for e in itertools.combinations(range(5), 3)
 )

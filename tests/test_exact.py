@@ -149,6 +149,33 @@ def test_max_tiling_builds_only_the_witnesses_of_its_packing(witness_builds):
     assert witness_builds["tilings"] == []
 
 
+def test_pipeline_builds_only_the_witnesses_of_its_j_matching(witness_builds):
+    H = _crafted(3, 15)
+    result = extremal_pipeline(H, Fraction(1))
+    assert result.succeeded
+    matched = int(result.stages[-1].detail.removeprefix("size="))
+    assert result.stages[-1].stage == "J-matching" and 0 < matched < len(_set_index(H))
+    # the copies placed for X are built by the pipeline itself, not read
+    # from the index, and come first
+    j_copies = result.tiling.copies[len(result.tiling.copies) - matched:]
+    assert [id(c) for c in _built_copies(witness_builds)] == [id(c) for c in j_copies]
+    assert witness_builds["tilings"] == []
+
+
+def test_b_avoiding_lp_builds_only_the_witnesses_of_its_basis(witness_builds):
+    H = complete_kgraph(10, 3)
+    answer = fractional.b_avoiding_fractional_tiling(H, KGraph(10, 2, [(0, 1), (2, 5)]))
+    assert isinstance(answer, FractionalTiling) and answer.perfect
+    assert witness_builds["tilings"] == [answer]
+    assert [id(c) for c in _built_copies(witness_builds)] == [id(c) for c in answer.weights]
+    assert all({0, 1} - set(c.vertices) and {2, 5} - set(c.vertices) for c in answer.weights)
+    # a certificate needs no witness: every set avoiding 0's pairs misses 0
+    witness_builds["witnesses"].clear()
+    star = KGraph(10, 2, [(0, v) for v in range(1, 10)])
+    assert isinstance(fractional.b_avoiding_fractional_tiling(H, star), fractional.FarkasCertificate)
+    assert witness_builds["witnesses"] == []
+
+
 def test_kpartite_matching_simple():
     J = KGraph(4, 2, [(0, 2), (1, 3)])
     m = kpartite_perfect_matching(J, [[0, 1], [2, 3]])

@@ -128,8 +128,27 @@ def test_robust_vectors_empty_family():
 
 def test_robust_vectors_partition_must_cover_the_sets():
     P = VertexPartition((tuple(range(5)),))
-    with pytest.raises(InvalidVertex):
+    with pytest.raises(InvalidDimension, match="^partition has 5 vertices, host has 6$"):
         robust_vectors(complete_kgraph(6, 3), P, Fraction(1, 6))
+
+
+@pytest.mark.parametrize(
+    "H, blocks",
+    [
+        # the partition names a vertex the host lacks
+        (complete_kgraph(7, 3), ((0, 1, 2, 3), (4, 5, 6, 7))),
+        # the host's extra vertex is isolated, so no supporting set reaches it
+        (KGraph(7, 3, itertools.combinations(range(6), 3)), ((0, 1, 2), (3, 4, 5))),
+    ],
+    ids=["partition-larger", "host-larger-isolated"],
+)
+def test_robust_vectors_and_transferrals_reject_a_vertex_count_mismatch(H, blocks):
+    P = VertexPartition(blocks)
+    for mode in ("exact", "packing-bound"):
+        with pytest.raises(InvalidDimension, match="^partition has"):
+            robust_vectors(H, P, Fraction(1, 7), mode=mode)
+    with pytest.raises(InvalidDimension, match="^partition has"):
+        has_transferral(H, P, Fraction(1, 7), 0, 1)
 
 
 def test_robust_vectors_rejects_an_unknown_mode_with_no_sets():

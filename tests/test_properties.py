@@ -13,15 +13,23 @@ import random
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tritile import fractional
+from tritile import exact, fractional
 from tritile.core import KGraph, complete_kgraph
 from tritile.errors import BudgetExceeded
-from tritile.exact import _CoverSearch, _disjoint_rows, _pack, max_tiling, perfect_tiling
+from tritile.exact import (
+    _CoverSearch,
+    _disjoint_rows,
+    _pack,
+    extremal_pipeline,
+    max_tiling,
+    perfect_tiling,
+)
 from tritile.fractional import (
     FarkasCertificate,
     min_max_pair_weight,
@@ -30,12 +38,13 @@ from tritile.fractional import (
     verify_certificate,
 )
 from tritile.lattice import _min_hit_decision
-from tritile.patterns import _set_index, supports_triangle
+from tritile.patterns import _set_index, blowup, generalized_triangle, supports_triangle
 from tritile.validate import brute_supports, check_certificate, check_fractional, check_tiling
 
 from oracles import (
     oracle_cover_search,
     oracle_first_disjoint_rows,
+    oracle_j_stage,
     oracle_max_packing,
     oracle_min_hit_decision,
     oracle_packed_rows,
@@ -277,7 +286,7 @@ def test_masks_first_index_matches_brute_force(H):
     assert index.masks == [sum(1 << v for v in vs) for vs in sets]
     assert list(index.vertex_bits().items()) == list(oracle_row_bits(range(H.n), sets).items())
     packed = oracle_packed_rows(sets, H.n, fractional._FIELD_BITS)
-    assert fractional._packed_rows(index.masks, H.n) == packed
+    assert fractional._packed_rows(index.masks, range(H.n)) == packed
     support = set(sets)
     for S in itertools.combinations(range(H.n), 2 * H.k - 1):
         assert index.contains(S) == (S in support)
@@ -418,3 +427,66 @@ def test_packing_search_finds_the_first_and_the_largest_packings(case, want):
     if found:
         assert found == sorted(found)
         assert len(set().union(*(rows[r] for r in found))) == size * len(found)
+
+
+@st.composite
+def blown_up_patterns(draw):
+    """A drawn share of the edges of the t-blowup of the k=3 or k=4 pattern,
+    its vertices shuffled, with the split the pipeline builds J on: A the
+    base and tail classes, B the two apex classes, so |A| = (2k-3) t and
+    |B| = 2t.  A copy in the blowup maps the pattern into itself, and every
+    such map is one to one, so each supporting set takes one vertex from
+    each class and J is (2k-1)-partite over the classes."""
+    k, t = draw(st.sampled_from([(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.integers(3, 9)) / 10
+    F = blowup(generalized_triangle(k), t)
+    perm = list(range(F.n))
+    rng.shuffle(perm)
+    H = KGraph(F.n, k, [[perm[v] for v in e] for e in F.edges if rng.random() < keep])
+    classes = [sorted(perm[v] for v in range(c * t, c * t + t)) for c in range(2 * k - 1)]
+    B = tuple(sorted(classes[k - 1] + classes[k]))
+    A = tuple(sorted(v for v in range(F.n) if v not in B))
+    return H, A, B, classes
+
+
+@given(blown_up_patterns())
+@settings(max_examples=40, deadline=None)
+def test_pipeline_j_stage_agrees_with_the_public_route(case):
+    """With A as the witness and X empty, the pipeline builds J on A and B
+    from the rows of the host's set index.  Its edge count, worst degree,
+    LP answer and matching equal those of the public route: the auxiliary
+    graph, ``induced``, the LP over J's edges and the k-partite matching."""
+    H, A, B, classes = case
+    verdicts = []
+
+    def recording_verdict(n, columns):
+        verdicts.append((columns[0], fractional._fractional_verdict(n, columns)))
+        return verdicts[-1][1]
+
+    with mock.patch.object(exact, "_fractional_verdict", recording_verdict):
+        result = extremal_pipeline(H, Fraction(1), witness=A)
+    stages = {stage.stage: stage for stage in result.stages}
+    assume(stages["X"].detail.startswith("|X|=0 "))
+    edges, worst, lp, matching = oracle_j_stage(H, A, B, classes)
+    assert stages["build-J"].detail == f"edges={edges}"
+    dh = stages["DH-check"]
+    assert f"worst degree={worst}" in dh.detail or f"(worst degree {worst})" in dh.detail
+    # every other J threshold holds at gamma 1, so DH-check fails only on a
+    # vertex that J misses
+    assert (dh.status == "ok") == (worst[1] > 0)
+    if dh.status != "ok":
+        assert verdicts == []
+        return
+    [(block, verdict)] = verdicts
+    if isinstance(lp, FarkasCertificate):
+        assert isinstance(verdict, FarkasCertificate) and verdict.coeffs == lp.coeffs
+        assert matching is None
+    else:
+        support = {
+            block[j]: x for j, x in zip(verdict.basis, verdict.xb) if j < verdict.m and x
+        }
+        assert support == lp.weights
+    copies = result.tiling.copies if result.tiling else None
+    assert (copies and [c.vertices for c in copies]) == (matching or None)
+    assert stages["J-matching"].status == ("ok" if matching else "failed")
