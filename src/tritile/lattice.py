@@ -27,7 +27,7 @@ from .errors import (
     InvalidVertex,
 )
 from .exact import DEFAULT_NODE_BUDGET, _CoverSearch, _disjoint_rows
-from .patterns import _mask_vertices, _row_bits, _set_index
+from .patterns import _mask_vertices, _picked, _row_bits, _set_index, _SetIndex
 
 YES = "yes"
 NO = "no"
@@ -105,10 +105,20 @@ class IntegerLattice:
                 return j
         return self.dim
 
+    def _vector(self, vec: Sequence[int]) -> list[int]:
+        """``vec`` as a list of ints; InvalidDimension unless it has ``dim``
+        entries, each an integer (``int(x) == x``)."""
+        vec = list(vec)
+        out = [int(x) for x in vec]
+        if len(out) != self.dim:
+            raise InvalidDimension(f"vector of length {len(out)}, lattice dim {self.dim}")
+        for x, y in zip(vec, out):
+            if x != y:
+                raise InvalidDimension(f"entry {x!r} is not an integer")
+        return out
+
     def add_generator(self, vec: Sequence[int]) -> None:
-        vec = [int(x) for x in vec]
-        if len(vec) != self.dim:
-            raise InvalidDimension(f"vector of length {len(vec)}, lattice dim {self.dim}")
+        vec = self._vector(vec)
         self.generators.append(tuple(vec))
         self._insert(vec + [0] * (len(self.generators) - 1) + [1])
 
@@ -139,11 +149,8 @@ class IntegerLattice:
 
     def express(self, vec: Sequence[int]) -> Optional[list[int]]:
         """Coefficients over the original generators, or None if outside."""
-        vec = [int(x) for x in vec]
-        if len(vec) != self.dim:
-            raise InvalidDimension(f"vector of length {len(vec)}, lattice dim {self.dim}")
+        v = self._vector(vec)
         acc = [0] * len(self.generators)
-        v = vec
         for row in self.rows:
             j = self._pivot(row)
             if v[j] == 0:
@@ -175,15 +182,20 @@ class RobustnessReport:
     removable: int  # floor(beta n): the W budget the family must survive
 
 
-def _min_hit_decision(family: list[int], limit: int, budget: int) -> Optional[list[int]]:
+def _min_hit_decision(
+    family: list[int], limit: int, budget: int, hits: Optional[dict[int, int]] = None
+) -> Optional[list[int]]:
     """Hitting set of <= limit vertices over a family of vertex masks, or
     None.
 
     Depth first: a node branches on the vertices of the first member not
     yet hit, ascending.  Member i is bit i of each vertex's bitset, so a
-    branch drops the members its vertex hits with one AND.
+    branch drops the members its vertex hits with one AND.  ``hits`` gives
+    those bitsets for every vertex of the family; by default they are the
+    family's transposition.
     """
-    hits = _row_bits(family, _mask_vertices(reduce(or_, family, 0)))
+    if hits is None:
+        hits = _row_bits(family, _mask_vertices(reduce(or_, family, 0)))
     nodes = 0
 
     def rec(alive: int, depth: int, chosen: list[int]) -> Optional[list[int]]:
@@ -204,6 +216,45 @@ def _min_hit_decision(family: list[int], limit: int, budget: int) -> Optional[li
         return None
 
     return rec((1 << len(family)) - 1, 0, [])
+
+
+def _families(
+    index: _SetIndex, blocks: Sequence[Sequence[int]], s: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """The index's rows grouped by index vector over ``blocks``: one
+    (vector, row bitset) per achieved vector, ascending.
+
+    Each block but the last adds its vertices' row bitsets into bit-sliced
+    counters, plane i holding bit i of every row's count in the block, and
+    every family splits by that count; a row has s vertices, so its last
+    entry is what the others leave."""
+    bits = index.vertex_bits()
+    full = (1 << len(index)) - 1
+    families = [((), full)] if full else []
+    for block in blocks[:-1]:
+        top = min(s, len(block))
+        planes = [0] * top.bit_length()
+        for v in block:
+            carry = bits[v]
+            for i in range(len(planes)):
+                plane = planes[i]
+                planes[i] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+        counts = []  # counts[c]: the rows with c vertices in the block
+        for c in range(top + 1):
+            rows = full
+            for i, plane in enumerate(planes):
+                rows &= plane if c >> i & 1 else ~plane
+            counts.append(rows)
+        families = [
+            (vec + (c,), picked)
+            for vec, rows in families
+            for c, at in enumerate(counts)
+            if (picked := rows & at)
+        ]
+    return [(vec + (s - sum(vec),), rows) for vec, rows in families]
 
 
 def robust_vectors(
@@ -234,25 +285,31 @@ def robust_vectors(
         raise InvalidDimension(f"partition has {P.n} vertices, host has {H.n}")
     m = int(beta * H.n)
     index = _set_index(H)
-    block_masks = [_mask(b) for b in P.blocks]
-    by_vec: dict[tuple[int, ...], list[int]] = {}
-    for mask in index.masks:
-        vec = tuple((mask & bm).bit_count() for bm in block_masks)
-        by_vec.setdefault(vec, []).append(mask)
+    families = [
+        (vec, list(_picked(index.masks, rows)))
+        for vec, rows in _families(index, P.blocks, 2 * H.k - 1)
+    ]
+    if mode == "exact":
+        # every family's member bitsets, from one transposition of all the
+        # families' masks laid end to end
+        columns = _row_bits([mask for _, fam in families for mask in fam], range(H.n))
+    start = 0
     out = {}
-    for vec in sorted(by_vec):
-        fam = by_vec[vec]
+    for vec, fam in families:
         status, value = UNKNOWN, 0
         try:
             if mode == "exact":
-                hit = _min_hit_decision(fam, m, budget)
+                width = (1 << len(fam)) - 1
+                hits = {v: column >> start & width for v, column in columns.items()}
+                start += len(fam)
+                hit = _min_hit_decision(fam, m, budget, hits)
                 if hit is None:
                     status, value = "robust", m + 1
                 else:
                     # shrink to the true transversal number for the report
                     value = len(hit)
                     for limit in range(len(hit)):
-                        if _min_hit_decision(fam, limit, budget) is not None:
+                        if _min_hit_decision(fam, limit, budget, hits) is not None:
                             value = limit
                             break
                     status = "not-robust"
@@ -308,23 +365,32 @@ def _transferral(
 # -- connectors, reachability, absorbers --------------------------------------
 
 
-def perfectly_tilable(H: KGraph, vertices: Sequence[int], budget: int = 200_000) -> bool:
+_TILE_BUDGET = 200_000  # cover-search nodes per perfectly_tilable check
+
+
+def perfectly_tilable(H: KGraph, vertices: Sequence[int], budget: int = _TILE_BUDGET) -> bool:
     """Does H restricted to ``vertices`` admit a perfect tiling?
 
     Exact cover of ``vertices`` by the host's supporting sets inside them,
-    taken in their canonical order from the host's shared index.
+    taken in their canonical order from the host's shared index.  A vertex
+    outside 0..n-1 raises InvalidVertex.
     """
-    vs = canonical_vertex_set(vertices)
+    vs = _check_range(canonical_vertex_set(vertices), H.n)
     s = 2 * H.k - 1
     if len(vs) % s != 0:
         return False
     if len(vs) == 0:
         return True
-    _check_range(vs, H.n)
-    index = _set_index(H)
-    if len(vs) == s:
-        return index.contains(vs)
-    live = index.bits_inside(vs)
+    return _tilable(_set_index(H), s, _mask(vs), budget)
+
+
+def _tilable(index: _SetIndex, s: int, mask: int, budget: int = _TILE_BUDGET) -> bool:
+    """``perfectly_tilable`` on the vertex mask ``mask`` of a nonempty
+    multiple of s vertices inside the host of ``index``, whose pattern has s
+    vertices."""
+    if mask.bit_count() == s:
+        return index.contains(mask)
+    live = index.bits_inside(mask)
     if not any(live.values()):
         return False
     return _CoverSearch(live, index.masks, budget).run() is not None
@@ -340,18 +406,25 @@ def _both_tilable(H: KGraph, blocked: set, sizes, ends, budget: int, what: str):
     """Every set C avoiding ``blocked`` with C plus each of the two ``ends``
     perfectly tilable, smallest first through the increasing ``sizes``.
     Raises BudgetExceeded, naming the ``what`` search, once more than
-    ``budget`` candidates have been tried."""
+    ``budget`` candidates have been tried.
+
+    Each candidate comes with its vertex mask, the sum of its vertices'
+    bits taken from a second combinations stream in step with the first."""
     pool = [w for w in range(H.n) if w not in blocked]
-    first, second = ends
+    bits = [1 << w for w in pool]
+    first, second = map(_mask, ends)
+    s = 2 * H.k - 1
     tried = 0
     for size in sizes:
         if size > len(pool):
             break
-        for C in itertools.combinations(pool, size):
+        index = _set_index(H)  # built only once a candidate exists
+        masks = map(sum, itertools.combinations(bits, size))
+        for C, mask in zip(itertools.combinations(pool, size), masks):
             tried += 1
             if tried > budget:
                 raise BudgetExceeded(f"{what} search exceeded {budget} candidates")
-            if perfectly_tilable(H, C + first) and perfectly_tilable(H, C + second):
+            if _tilable(index, s, mask | first) and _tilable(index, s, mask | second):
                 yield C
 
 
@@ -374,11 +447,12 @@ def find_connector(
 ) -> Optional[tuple[int, ...]]:
     """Smallest-first search for a set S with both S+{u} and S+{v} perfectly
     tilable; |S| <= (2k-1)t - 1 and S avoids ``forbidden``.  t must be at
-    least 1."""
+    least 1, and a forbidden vertex outside 0..n-1 raises InvalidVertex."""
     _check_t(t)
     if u == v:
         raise InvalidVertex("connector endpoints must differ")
     _check_range(sorted((u, v)), H.n)
+    forbidden = _check_range(canonical_vertex_set(forbidden), H.n)
     return next(_connectors(H, u, v, t, set(forbidden) | {u, v}, budget), None)
 
 
@@ -459,13 +533,15 @@ def find_absorber(
     budget: int = 500_000,
 ) -> Optional[tuple[int, ...]]:
     """Smallest-first search for A with H[A] and H[A+S] perfectly tilable,
-    |A| <= (2k-1)^2 t, A disjoint from S and ``forbidden``; t >= 1."""
+    |A| <= (2k-1)^2 t, A disjoint from S and ``forbidden``; t >= 1, and a
+    forbidden vertex outside 0..n-1 raises InvalidVertex."""
     _check_t(t)
     s = 2 * H.k - 1
     S = canonical_vertex_set(S)
     if len(S) != s:
         raise InvalidVertex(f"absorber target must have {s} vertices")
     _check_range(S, H.n)
+    forbidden = _check_range(canonical_vertex_set(forbidden), H.n)
     sizes = range(s, s * s * t + 1, s)  # q(2k-1) for q = 1..(2k-1)t
     blocked = set(forbidden) | set(S)
     return next(_both_tilable(H, blocked, sizes, ((), S), budget, "absorber"), None)

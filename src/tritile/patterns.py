@@ -280,9 +280,7 @@ class _SetIndex:
                 two &= ~holds[v]
             bm = _mask(base)
             found = (base, bm, _mask(nbrs))
-            # the edges of the bits set in ``two``: its binary digits, the
-            # lowest first, as 0/1 flags
-            for em in compress(edge_masks, bin(two)[:1:-1].encode().translate(_FLAGS)):
+            for em in _picked(edge_masks, two):
                 m = bm | em
                 if m not in first:
                     first[m] = found
@@ -354,22 +352,22 @@ class _SetIndex:
             self._bits = _row_bits(self.masks, range(self.n))
         return self._bits
 
-    def contains(self, vs: tuple[int, ...]) -> bool:
-        """Is the canonical (2k-1)-tuple ``vs`` a supporting set?"""
-        return _mask(vs) in self._first
+    def contains(self, mask: int) -> bool:
+        """Is the (2k-1)-vertex set of the vertex mask ``mask`` a supporting
+        set?"""
+        return mask in self._first
 
-    def bits_inside(self, vs: tuple[int, ...]) -> dict[int, int]:
-        """``vertex_bits`` restricted to the sets inside the canonical tuple
-        ``vs``, for its vertices only: a row is inside unless a vertex
-        outside ``vs`` holds it."""
+    def bits_inside(self, mask: int) -> dict[int, int]:
+        """``vertex_bits`` restricted to the sets inside the vertex mask
+        ``mask`` (inside 0..n-1), for its vertices only, ascending: a row is
+        inside unless a vertex outside the mask holds it."""
         bits = self.vertex_bits()
-        members = _mask(vs)
         outside = 0
         for u, rows in bits.items():
-            if not members >> u & 1:
+            if not mask >> u & 1:
                 outside |= rows
         inside = ~outside
-        return {v: bits[v] & inside for v in vs}
+        return {v: bits[v] & inside for v in _mask_vertices(mask)}
 
 
 def _set_index(H: KGraph, cap: int = DEFAULT_COPY_CAP) -> _SetIndex:
@@ -395,6 +393,13 @@ def _mask_vertices(m: int) -> tuple[int, ...]:
 # as the bytes 0 and 1.
 _REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _picked(items: Sequence, bits: int) -> Iterator:
+    """The items whose bit is set in ``bits`` (bit i for ``items[i]``), in
+    order: ``bits``' binary digits, the lowest first, as 0/1 flags for
+    ``compress``."""
+    return compress(items, bin(bits)[:1:-1].encode().translate(_FLAGS))
 
 
 def _vertex_columns(

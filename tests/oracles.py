@@ -185,6 +185,75 @@ def oracle_min_hit_decision(family, limit, budget):
     return rec(family, 0, [])
 
 
+def oracle_robust_vectors(sets, P, m, mode, budget, index_vector_fn, disjoint_fn):
+    """``robust_vectors``' reports as (vector, status, value) triples,
+    vectors ascending, over the vertex tuples ``sets`` in their order and
+    floor(beta n) = m.  The sets are grouped one at a time by
+    ``index_vector_fn``.  Exact mode decides each family by
+    ``oracle_min_hit_decision`` and shrinks a hit to the least limit that
+    still hits; packing-bound mode asks ``disjoint_fn(masks, m + 1,
+    budget)``.  A BudgetExceeded leaves the vector unknown."""
+    families = {}
+    for S in sets:
+        families.setdefault(index_vector_fn(P, S), []).append(sum(1 << v for v in S))
+    out = []
+    for vec in sorted(families):
+        family = families[vec]
+        status, value = "unknown", 0
+        try:
+            if mode == "exact":
+                hit = oracle_min_hit_decision(family, m, budget)
+                if hit is None:
+                    status, value = "robust", m + 1
+                else:
+                    value = len(hit)
+                    for limit in range(len(hit)):
+                        if oracle_min_hit_decision(family, limit, budget) is not None:
+                            value = limit
+                            break
+                    status = "not-robust"
+            elif disjoint_fn(family, m + 1, budget) is not None:
+                status, value = "robust", m + 1
+        except BudgetExceeded:
+            status, value = "unknown", 0
+        out.append((vec, status, value))
+    return out
+
+
+def oracle_both_tilable(H, blocked, sizes, ends, budget, what, tilable_fn):
+    """Every set C avoiding ``blocked`` with C plus each of the two tuples
+    ``ends`` perfectly tilable by ``tilable_fn``, smallest first through
+    ``sizes``, testing one candidate tuple at a time; more than ``budget``
+    candidates raise BudgetExceeded naming the ``what`` search."""
+    pool = [w for w in range(H.n) if w not in blocked]
+    first, second = ends
+    tried = 0
+    for size in sizes:
+        if size > len(pool):
+            break
+        for C in itertools.combinations(pool, size):
+            tried += 1
+            if tried > budget:
+                raise BudgetExceeded(f"{what} search exceeded {budget} candidates")
+            if tilable_fn(H, C + first) and tilable_fn(H, C + second):
+                yield C
+
+
+def oracle_connectors(H, u, v, t, blocked, budget, tilable_fn):
+    """The connectors of u and v with at most t copies, smallest first."""
+    s = 2 * H.k - 1
+    sizes = range(s - 1, t * s, s)
+    return oracle_both_tilable(H, blocked, sizes, ((u,), (v,)), budget, "connector", tilable_fn)
+
+
+def oracle_absorbers(H, S, t, blocked, budget, tilable_fn):
+    """The absorbers of the (2k-1)-tuple S with at most (2k-1)t copies,
+    smallest first."""
+    s = 2 * H.k - 1
+    sizes = range(s, s * s * t + 1, s)
+    return oracle_both_tilable(H, blocked, sizes, ((), S), budget, "absorber", tilable_fn)
+
+
 def oracle_first_disjoint_rows(rows, want):
     """The first ``want`` row indices, in lexicographic order, whose rows are
     pairwise disjoint, or None, by trying every combination."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritile.core import KGraph, complete_kgraph
+from tritile.core import DEFAULT_NODE_BUDGET, KGraph, complete_kgraph
 from tritile.constructions import random_with_codegree
 from tritile.errors import (
     BudgetExceeded,
@@ -28,14 +28,24 @@ from tritile.lattice import (
     is_complete,
     is_zeta_monochromatic,
     monochromatic_fraction,
+    perfectly_tilable,
     reachable,
     robust_vectors,
     x_density,
 )
+from tritile.exact import _disjoint_rows
 from tritile.patterns import supports_triangle
 from tritile.validate import check_absorber, check_connector
 
-from oracles import oracle_lattice_member, oracle_robust
+from oracles import (
+    oracle_absorbers,
+    oracle_connectors,
+    oracle_lattice_member,
+    oracle_min_hit_decision,
+    oracle_robust,
+    oracle_robust_vectors,
+    oracle_supporting_sets,
+)
 
 
 def test_index_vector_basic():
@@ -85,6 +95,29 @@ def test_lattice_matches_box_oracle_random():
                 sum(c * g[i] for c, g in zip(coeffs, gens)) == target[i]
                 for i in range(dim)
             )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntegerLattice(2, [(1.5, 0)]),
+        lambda: (Fraction(19, 10), 0) in IntegerLattice(2, [(1, 0)]),
+        lambda: (1.9, 0) in IntegerLattice(2, [(1, 0)]),
+        lambda: IntegerLattice(2, [(1, 0)]).express([Fraction(3, 2), 0]),
+        lambda: IntegerLattice(2).add_generator((0, Fraction(1, 3))),
+    ],
+    ids=["generator", "fraction-member", "float-member", "express", "add-generator"],
+)
+def test_lattice_rejects_non_integral_entries(build):
+    # int() would truncate each of these entries to a different vector.
+    with pytest.raises(InvalidDimension, match="is not an integer"):
+        build()
+
+
+def test_lattice_accepts_integral_non_int_entries():
+    L = IntegerLattice(2, [(2.0, Fraction(0))])
+    assert L.generators == [(2, 0)]
+    assert L.express([Fraction(4, 1), 0.0]) == [2]
 
 
 def test_lattice_combination_targets_members():
@@ -208,6 +241,94 @@ def test_robust_vectors_budget_sweep_never_raises():
         decided = next(b for b, r in enumerate(reports) if r.status != "unknown")
         assert all(r.status == "unknown" and r.value == 0 for r in reports[:decided])
         assert all(r == rep for r in reports[decided:]), vec
+
+
+@st.composite
+def partitioned_hosts(draw):
+    """A host with k in {2, 3, 4}, each k-set an edge at a drawn density,
+    and an ordered partition of its vertices into 1..4 blocks."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(2 * k - 1, 10 if k == 3 else 9))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.integers(3, 10)) / 10
+    H = KGraph(n, k, [e for e in itertools.combinations(range(n), k) if rng.random() < density])
+    r = draw(st.integers(1, min(4, n)))
+    labels = [i % r for i in range(n)]
+    rng.shuffle(labels)
+    return H, VertexPartition(tuple(
+        tuple(v for v in range(n) if labels[v] == i) for i in range(r)
+    ))
+
+
+@given(partitioned_hosts(), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_robust_vectors_match_the_one_set_at_a_time_oracle(case, removable):
+    """The same vectors in the same order, with the same status and value,
+    in both modes and at every budget of a sweep: the oracle groups the
+    supporting sets one at a time by index_vector and runs the re-filtering
+    hitting-set search, which counts nodes as the library's does."""
+    H, P = case
+    sets = oracle_supporting_sets(H)
+    for mode in ("exact", "packing-bound"):
+        for budget in (0, 1, 2, 3, 5, 10, 30, DEFAULT_NODE_BUDGET):
+            want = oracle_robust_vectors(
+                sets, P, removable, mode, budget, index_vector, _disjoint_rows
+            )
+            got = robust_vectors(H, P, Fraction(removable, H.n), mode=mode, budget=budget)
+            assert [(vec, rep.status, rep.value) for vec, rep in got.items()] == want
+            assert {(rep.mode, rep.removable) for rep in got.values()} <= {(mode, removable)}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except BudgetExceeded as exc:
+        return "budget", str(exc)
+
+
+@st.composite
+def lattice_hosts(draw):
+    """A host with k in {2, 3, 4}, each k-set an edge at a drawn density."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(2 * k + 1, 11 if k == 3 else 9))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.integers(3, 10)) / 10
+    return KGraph(n, k, [e for e in itertools.combinations(range(n), k) if rng.random() < density])
+
+
+@given(lattice_hosts(), st.sampled_from([1, 2]), st.integers(0, 2), st.randoms())
+@settings(max_examples=40, deadline=None)
+def test_connector_and_absorber_searches_match_the_per_candidate_oracle(H, t, m, rng):
+    """The same first connector, exact reachability verdict and first
+    absorber, or the same BudgetExceeded message, at budgets 3, 50 and the
+    default: the oracle walks the same candidates one tuple at a time and
+    tests each through the public perfectly_tilable."""
+    s = 2 * H.k - 1
+    u, v = rng.sample(range(H.n), 2)
+    S = tuple(sorted(rng.sample(range(H.n), s)))
+    forbidden = rng.sample(range(H.n), rng.randint(0, 2))
+
+    def oracle_reachable(budget):
+        family = oracle_connectors(H, u, v, t, {u, v}, budget, perfectly_tilable)
+        masks = [sum(1 << w for w in C) for C in family]
+        return NO if oracle_min_hit_decision(masks, m, budget) is not None else YES
+
+    for budget in (3, 50, None):
+        kw = {} if budget is None else {"budget": budget}
+        full = 500_000 if budget is None else budget
+        connector = oracle_connectors(
+            H, u, v, t, set(forbidden) | {u, v}, full, perfectly_tilable
+        )
+        absorber = oracle_absorbers(H, S, t, set(forbidden) | set(S), full, perfectly_tilable)
+        assert _outcome(lambda: find_connector(H, u, v, t=t, forbidden=forbidden, **kw)) == (
+            _outcome(lambda: next(connector, None))
+        )
+        assert _outcome(lambda: reachable(H, u, v, m, t=t, mode="exact", **kw)) == (
+            _outcome(lambda: oracle_reachable(full))
+        )
+        assert _outcome(lambda: find_absorber(H, S, t=t, forbidden=forbidden, **kw)) == (
+            _outcome(lambda: next(absorber, None))
+        )
 
 
 def test_packing_bound_mode_sound():
@@ -367,6 +488,25 @@ def test_out_of_range_endpoints_raise():
         find_connector(H, 9, 0)
     with pytest.raises(InvalidVertex):
         find_absorber(KGraph(12, 3, []), (0, 1, 2, 3, 12))
+
+
+@pytest.mark.parametrize("forbidden", [[99], [-5], [99, -5]], ids=["above", "below", "both"])
+def test_out_of_range_forbidden_vertices_raise(forbidden):
+    # K10 has a connector and an absorber that avoid any vertex outside it,
+    # so a search that skipped the bad vertex would answer as if it were fine.
+    K10 = complete_kgraph(10, 3)
+    with pytest.raises(InvalidVertex):
+        find_connector(K10, 0, 1, forbidden=forbidden)
+    with pytest.raises(InvalidVertex):
+        find_absorber(K10, (0, 1, 2, 3, 4), forbidden=forbidden)
+
+
+@pytest.mark.parametrize("vertices", [[0, 1, 99], [0, 1, 2, 3, -4, 5], [0, 1, 2, 3, 10]])
+def test_perfectly_tilable_checks_the_range_before_the_size(vertices):
+    # [0, 1, 99] and the six-vertex set are no multiple of 5 in size, and
+    # used to answer False before their range was read.
+    with pytest.raises(InvalidVertex):
+        perfectly_tilable(complete_kgraph(10, 3), vertices)
 
 
 def test_absorber_disjoint_pair_on_k25():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritile.core import KGraph, complete_kgraph
+from tritile.core import KGraph, _mask, complete_kgraph
 from tritile.constructions import extremal_construction, random_with_codegree
 from tritile.errors import BudgetExceeded, InvalidArity, InvalidColoring, InvalidUniformity
 from tritile.exact import _decide_perfect_tiling, max_tiling
@@ -253,7 +253,7 @@ def test_row_bitsets_match_brute_force(case):
     index = _set_index(H)
     assert list(index.vertex_bits().items()) == list(bits(range(H.n), bool).items())
     inside = bits(R, lambda S: set(S) <= set(R))
-    assert list(index.bits_inside(R).items()) == list(inside.items())
+    assert list(index.bits_inside(_mask(R)).items()) == list(inside.items())
 
 
 def test_supporting_sets_cap_before_caching():

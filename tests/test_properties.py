@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tritile import exact, fractional
-from tritile.core import KGraph, complete_kgraph
+from tritile.core import KGraph, _mask, complete_kgraph
 from tritile.errors import BudgetExceeded
 from tritile.exact import (
     _CoverSearch,
@@ -289,7 +289,7 @@ def test_masks_first_index_matches_brute_force(H):
     assert fractional._packed_rows(index.masks, range(H.n)) == packed
     support = set(sets)
     for S in itertools.combinations(range(H.n), 2 * H.k - 1):
-        assert index.contains(S) == (S in support)
+        assert index.contains(_mask(S)) == (S in support)
     if sets:
         for host in (KGraph(H.n, H.k, H.edges), H):  # a fresh build, then the cache
             with pytest.raises(BudgetExceeded) as over:
