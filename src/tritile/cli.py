@@ -62,15 +62,28 @@ class UsageError(Exception):
     pass
 
 
-def _node_budget(text: str, source: str = "--budget") -> int:
-    """A node budget read from ``source``: an integer, at least 0."""
+def _integer(text: str, source: str) -> int:
+    """``text`` read as an integer, or a UsageError naming ``source``."""
     try:
-        budget = int(text)
+        return int(text)
     except ValueError:
         raise UsageError(f"{source} must be an integer, got {text!r}") from None
+
+
+def _node_budget(text: str, source: str = "--budget") -> int:
+    """A node budget read from ``source``: an integer, at least 0."""
+    budget = _integer(text, source)
     if budget < 0:
         raise UsageError(f"{source} must be nonnegative, got {text!r}")
     return budget
+
+
+def _worker_count(text: str) -> int:
+    """A ``--workers`` count: an integer, at least 1."""
+    workers = _integer(text, "--workers")
+    if workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {text!r}")
+    return workers
 
 
 def _env_budget() -> int:
@@ -455,7 +468,7 @@ COMMANDS = {
         "--a", "--b", "--beta", "budget",
     ]),
     "batch": (cmd_batch, "batch-runner", "run a manifest of commands", [
-        "manifest", ("--workers", {"type": int, "default": 1}), _OUTPUT,
+        "manifest", ("--workers", {"type": _worker_count, "default": 1}), _OUTPUT,
     ]),
 }
 

@@ -366,6 +366,7 @@ def _transferral(
 
 
 _TILE_BUDGET = 200_000  # cover-search nodes per perfectly_tilable check
+_SEARCH_BUDGET = 500_000  # candidate sets per connector or absorber search
 
 
 def perfectly_tilable(H: KGraph, vertices: Sequence[int], budget: int = _TILE_BUDGET) -> bool:
@@ -443,7 +444,7 @@ def find_connector(
     *,
     t: int = 1,
     forbidden: Iterable[int] = (),
-    budget: int = 500_000,
+    budget: int = _SEARCH_BUDGET,
 ) -> Optional[tuple[int, ...]]:
     """Smallest-first search for a set S with both S+{u} and S+{v} perfectly
     tilable; |S| <= (2k-1)t - 1 and S avoids ``forbidden``.  t must be at
@@ -464,7 +465,7 @@ def reachable(
     *,
     t: int = 1,
     mode: str = "certificate",
-    budget: int = 500_000,
+    budget: int = _SEARCH_BUDGET,
 ) -> str:
     """Can u and v be connected while avoiding any m vertices?
 
@@ -505,7 +506,7 @@ def is_closed(
     *,
     t: int = 1,
     mode: str = "certificate",
-    budget: int = 500_000,
+    budget: int = _SEARCH_BUDGET,
 ) -> tuple[str, Optional[tuple[int, int]]]:
     """Pairwise reachability over U; returns the verdict and the first
     failing (or first unknown) pair.  Unknown means certificate mode found
@@ -530,7 +531,7 @@ def find_absorber(
     *,
     t: int = 1,
     forbidden: Iterable[int] = (),
-    budget: int = 500_000,
+    budget: int = _SEARCH_BUDGET,
 ) -> Optional[tuple[int, ...]]:
     """Smallest-first search for A with H[A] and H[A+S] perfectly tilable,
     |A| <= (2k-1)^2 t, A disjoint from S and ``forbidden``; t >= 1, and a

@@ -10,6 +10,7 @@ pattern automorphisms, so LP columns and exact-cover rows never double count.
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -244,17 +245,19 @@ def supporting_sets(
 class _SetIndex:
     """A host's supporting sets as vertex masks, sorted by vertex set.
 
-    Row r is the set of mask ``masks[r]``.  The masks, and the build
-    pass's map from each mask to the base of its least witness, are all
-    that is built for every row up front.  A row's vertex tuple
-    (``index[r]``) is decoded from its mask on every read and not kept.  Its
-    least witness (``witness(r)``) is built on first read and kept, so a
-    solver builds only those its answer names and every caller gets the
-    same objects.  The per-vertex row bitsets are built on first use, so a
-    host whose questions the LP settles never pays for them.
+    Row r is the set of mask ``masks[r]``; per row the index keeps only
+    that mask and the number of its least witness's base in ``_bases``,
+    which holds (base, base mask, admissible apex mask) once per base with
+    two admissible apexes.  A row's vertex tuple (``index[r]``) is decoded
+    from its mask on every read and not kept.  Its least witness
+    (``witness(r)``) is built on first read and kept, so a solver builds
+    only those its answer names and every caller gets the same objects.
+    The per-vertex row bitsets and the set of masks that ``contains`` reads
+    are built on first use, so a host whose questions the LP settles never
+    pays for them.
     """
 
-    __slots__ = ("n", "masks", "_first", "_witnesses", "_tails", "_bits")
+    __slots__ = ("n", "masks", "_bases", "_base_of", "_members", "_witnesses", "_tails", "_bits")
 
     def __init__(self, H: KGraph, cap: int):
         # One pass per base, in sorted base order: a spine edge misses the
@@ -266,7 +269,8 @@ class _SetIndex:
         # ``_copies``.
         edge_masks = [_mask(e) for e in H.edges]
         holds = _row_bits(edge_masks, range(H.n))
-        first: dict[int, tuple] = {}
+        bases: list[tuple[tuple[int, ...], int, int]] = []
+        first: dict[int, int] = {}  # set mask -> number of its least witness's base
         for base, nbrs in sorted(H._neighborhood_index().items()):
             if H.k == 2:
                 nbrs = nbrs[bisect_right(nbrs, base[0]):]
@@ -279,11 +283,10 @@ class _SetIndex:
             for v in base:
                 two &= ~holds[v]
             bm = _mask(base)
-            found = (base, bm, _mask(nbrs))
+            number = len(bases)
+            bases.append((base, bm, _mask(nbrs)))
             for em in _picked(edge_masks, two):
-                m = bm | em
-                if m not in first:
-                    first[m] = found
+                first.setdefault(bm | em, number)
             _check_set_cap(len(first), cap)
         # A mask's little-endian bytes, each with its bits reversed, put
         # vertex 0 in the top bit.  Two sets of one size first differ at the
@@ -291,18 +294,12 @@ class _SetIndex:
         # vertex tuple and the larger reversed bytes, so sorting those
         # descending sorts the sets by vertex tuple.
         width = (H.n + 7) >> 3
-        keys = sorted(
-            map(bytes.translate, map(int.to_bytes, first, repeat(width), repeat("little")),
-                repeat(_REVERSED)),
-            reverse=True,
-        )
-        self.masks = list(
-            map(int.from_bytes, map(bytes.translate, keys, repeat(_REVERSED)), repeat("little"))
-        )
-        # (base, base mask, mask of the base's admissible apexes) per set
-        # mask; a row's spine edge is its mask without the base mask
-        self._first = first
+        self.masks = sorted(first, key=lambda m: m.to_bytes(width, "little").translate(_REVERSED),
+                            reverse=True)
+        self._bases = bases
+        self._base_of = array("I", map(first.__getitem__, self.masks))
         self.n = H.n
+        self._members: Optional[set[int]] = None
         self._witnesses: Optional[list[Optional[TriangleCopy]]] = None
         self._tails: dict[int, tuple[int, ...]] = {}  # shared by the witnesses
         self._bits: Optional[dict[int, int]] = None
@@ -328,7 +325,7 @@ class _SetIndex:
         copy = self._witnesses[r]
         if copy is None:
             m = self.masks[r]
-            base, bm, nm = self._first[m]
+            base, bm, nm = self._bases[self._base_of[r]]
             spine = m ^ bm
             x = spine & nm
             a = x & -x
@@ -354,8 +351,10 @@ class _SetIndex:
 
     def contains(self, mask: int) -> bool:
         """Is the (2k-1)-vertex set of the vertex mask ``mask`` a supporting
-        set?"""
-        return mask in self._first
+        set?  Answered from the set of the masks, built on first call."""
+        if self._members is None:
+            self._members = set(self.masks)
+        return mask in self._members
 
     def bits_inside(self, mask: int) -> dict[int, int]:
         """``vertex_bits`` restricted to the sets inside the vertex mask
@@ -404,11 +403,11 @@ def _picked(items: Sequence, bits: int) -> Iterator:
 
 def _vertex_columns(
     masks: Sequence[int], universe: Sequence[int], flags: bytes = b"01"
-) -> list[bytes]:
-    """The transpose of the rows ``masks``: for each vertex of ``universe``,
-    in its order, one byte per row, the last row first, ``flags[1]`` where
-    the row holds the vertex and ``flags[0]`` where it does not.  Every
-    row must lie inside ``universe``.
+) -> Iterator[bytes]:
+    """The transpose of the rows ``masks``, yielded one vertex's column at
+    a time: for each vertex of ``universe``, in its order, one byte per row,
+    the last row first, ``flags[1]`` where the row holds the vertex and
+    ``flags[0]`` where it does not.  Every row must lie inside ``universe``.
 
     The masks are written out as bytes once; a vertex's column is then one
     slice of every row's byte holding it and one ``bytes.translate`` of
@@ -417,7 +416,7 @@ def _vertex_columns(
     rows = b"".join(map(int.to_bytes, reversed(masks), repeat(width), repeat("little")))
     off, on = flags[:1], flags[1:]
     tables = [(off * (1 << b) + on * (1 << b)) * (128 >> b) for b in range(8)]
-    return [rows[v >> 3::width].translate(tables[v & 7]) for v in universe]
+    return (rows[v >> 3::width].translate(tables[v & 7]) for v in universe)
 
 
 def _row_bits(masks: Sequence[int], universe: Sequence[int]) -> dict[int, int]:

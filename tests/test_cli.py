@@ -619,6 +619,16 @@ def test_batch_stdout_is_one_json_document(tmp_path, capsys, workers):
     ]
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_batch_workers_below_one_exits_1(tmp_path, capsys, workers):
+    manifest = tmp_path / "rows.jsonl"
+    manifest.write_text(json.dumps({"id": "top", "args": ["--help"]}) + "\n")
+    assert main(["batch", str(manifest), "--workers", workers]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --workers must be at least 1, got '{workers}'"]
+
+
 def test_reach_without_enough_connectors_is_unknown(tmp_path, capsys):
     inst = tmp_path / "k10.kg"
     run(["gen", "complete", "--n", "10", "--k", "3", "-o", str(inst)])

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -407,6 +408,22 @@ def test_supporting_set_index_pins(name):
     rows = [[list(vs), witness.to_json()] for vs, witness in supporting_sets(H)]
     text = json.dumps({"sets": rows, "masks": _set_index(H).masks}, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == INDEX_PINS[name]
+
+
+def test_set_index_holds_under_64_bytes_per_set():
+    # Per row the index keeps its mask and one base number; a map from each
+    # set's mask to its witness's base held about 100 bytes per set here.
+    H = extremal_construction(3, 20).graph
+    H._neighborhood_index()  # the host's own cache, not the index's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = _set_index(H)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(index) == 9212
+    assert held / len(index) < 64
 
 
 def _witnesses_built(H: KGraph) -> bool:
